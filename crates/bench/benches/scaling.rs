@@ -3,15 +3,12 @@
 //!
 //! * TRG construction vs. cycle length, fork/join width and
 //!   producer–consumer capacity;
-//! * serial vs. parallel frontier expansion (the `parallel` feature of
-//!   `tpn-reach`) on the widest parametric families;
-//! * decision-graph rate solving: dense-kernel vs. dense-fixed vs.
-//!   sparse-fixed elimination on lossy forwarding chains (the sparse
-//!   representation is the ablation called out in DESIGN.md).
+//! * decision-graph rate solving (structural ergodicity check plus the
+//!   sparse fixed-reference solve) on lossy forwarding chains.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use tpn_core::{solve_rates_with, DecisionGraph, RateMethod};
+use tpn_core::{solve_rates, DecisionGraph};
 use tpn_protocols::families;
 use tpn_rational::Rational;
 use tpn_reach::{build_trg, NumericDomain, TrgOptions};
@@ -48,43 +45,6 @@ fn bench_trg_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// Serial (`threads: 1`) vs. parallel (`threads: 0`, i.e. all cores)
-/// TRG construction. Fork/join nets have the widest breadth-first
-/// frontiers of the parametric families, so they are where frontier
-/// fan-out can actually win; the cycle family (frontier width 1) is
-/// included as the worst case for the parallel path.
-fn bench_trg_parallel(c: &mut Criterion) {
-    let domain = NumericDomain::new();
-    let serial = TrgOptions::default();
-    let parallel = TrgOptions {
-        threads: 0,
-        ..TrgOptions::default()
-    };
-
-    let mut g = c.benchmark_group("scaling/trg_serial_vs_parallel/fork_join");
-    for n in [8usize, 12, 14] {
-        let net = families::fork_join(n);
-        g.bench_with_input(BenchmarkId::new("serial", n), &net, |b, net| {
-            b.iter(|| build_trg(black_box(net), &domain, &serial).unwrap())
-        });
-        g.bench_with_input(BenchmarkId::new("parallel", n), &net, |b, net| {
-            b.iter(|| build_trg(black_box(net), &domain, &parallel).unwrap())
-        });
-    }
-    g.finish();
-
-    let mut g = c.benchmark_group("scaling/trg_serial_vs_parallel/cycle");
-    let times: Vec<Rational> = (1..=256).map(Rational::from_int).collect();
-    let net = families::cycle(&times);
-    g.bench_with_input(BenchmarkId::new("serial", 256), &net, |b, net| {
-        b.iter(|| build_trg(black_box(net), &domain, &serial).unwrap())
-    });
-    g.bench_with_input(BenchmarkId::new("parallel", 256), &net, |b, net| {
-        b.iter(|| build_trg(black_box(net), &domain, &parallel).unwrap())
-    });
-    g.finish();
-}
-
 fn bench_rate_solvers(c: &mut Criterion) {
     let domain = NumericDomain::new();
     let opts = TrgOptions::default();
@@ -102,23 +62,12 @@ fn bench_rate_solvers(c: &mut Criterion) {
             dg.num_edges()
         );
         let mut g = c.benchmark_group(format!("scaling/rate_solver_{hops}_hops"));
-        for (name, method) in [
-            ("dense_kernel", RateMethod::DenseKernel),
-            ("dense_fixed", RateMethod::DenseFixed),
-            ("sparse_fixed", RateMethod::SparseFixed),
-        ] {
-            g.bench_function(name, |b| {
-                b.iter(|| black_box(solve_rates_with(&dg, 0, method).unwrap()))
-            });
-        }
+        g.bench_function("solve_rates", |b| {
+            b.iter(|| black_box(solve_rates(&dg, 0).unwrap()))
+        });
         g.finish();
     }
 }
 
-criterion_group!(
-    benches,
-    bench_trg_scaling,
-    bench_trg_parallel,
-    bench_rate_solvers
-);
+criterion_group!(benches, bench_trg_scaling, bench_rate_solvers);
 criterion_main!(benches);

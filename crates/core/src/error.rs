@@ -18,11 +18,13 @@ pub enum CoreError {
     /// The reachability graph has no cycle at all (every run reaches a
     /// terminal state), so there is no steady state to analyse.
     NoCycle,
-    /// The rate equations do not have a one-dimensional solution space:
-    /// dimension 0 means probability leaks out of the cycle (terminal
-    /// paths); dimension > 1 means several independent recurrent classes.
+    /// The decision graph, over its edges of non-zero probability, does
+    /// not have exactly one closed class (a strongly-connected node set
+    /// no edge leaves): several closed classes are independent recurrent
+    /// behaviours, so the rate equations have no unique solution.
     NotErgodic {
-        /// Dimension of the computed solution space.
+        /// The number of closed classes — equal to the dimension of the
+        /// homogeneous rate system's solution space.
         kernel_dim: usize,
     },
     /// The reference edge for normalisation has rate zero.

@@ -10,30 +10,26 @@
 //!
 //! The system is homogeneous; for an ergodic cycle its solution space is
 //! one-dimensional, and the paper fixes the scale by "assuming rⱼ = 1"
-//! for a chosen reference edge. [`solve_rates`] reproduces exactly that:
-//! exact null-space computation over the probability field (rationals or
-//! rational functions) followed by normalisation.
+//! for a chosen reference edge. [`solve_rates`] reproduces exactly that
+//! in two steps:
+//!
+//! 1. a structural ergodicity check: the decision graph, restricted to
+//!    edges of non-zero probability, must have exactly one closed
+//!    strongly-connected class, and the reference edge must leave a
+//!    node of it (otherwise its steady-state rate is zero);
+//! 2. the paper's fixed-reference system — the reference edge's
+//!    equation replaced by `r_ref = 1` — solved exactly over the
+//!    probability field (rationals or rational functions) by sparse
+//!    elimination.
+//!
+//! Because every node's out-probabilities sum to one, the number of
+//! closed classes is the dimension of the homogeneous system's solution
+//! space, and once it is one the fixed-reference system is non-singular.
 
-use tpn_linalg::{Field, Matrix, SparseMatrix};
+use tpn_linalg::{Field, SparseMatrix};
 use tpn_reach::AnalysisDomain;
 
 use crate::{CoreError, DecisionGraph};
-
-/// How to solve the homogeneous rate system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RateMethod {
-    /// Compute the null space of the full homogeneous system and
-    /// normalise (the default; detects non-ergodic graphs exactly).
-    #[default]
-    DenseKernel,
-    /// Replace the reference edge's equation by `r_ref = 1` and solve
-    /// the resulting inhomogeneous system with dense elimination.
-    DenseFixed,
-    /// Same fixed-reference system, solved with the sparse eliminator —
-    /// the representation that wins on large decision graphs (see the
-    /// `scaling` benchmarks).
-    SparseFixed,
-}
 
 /// Normalised traversal rates, one per decision-graph edge.
 #[derive(Debug, Clone)]
@@ -79,10 +75,10 @@ impl<P: Clone> Rates<P> {
 /// Solve the traversal-rate equations of `dg`, normalising the rate of
 /// `reference_edge` to one.
 ///
-/// Errors: [`CoreError::NotErgodic`] if the solution space is not
-/// one-dimensional, [`CoreError::ZeroReferenceRate`] if the requested
-/// reference edge has rate zero, [`CoreError::NoSuchEdge`] for a bad
-/// index.
+/// Errors: [`CoreError::NoSuchEdge`] for a bad index,
+/// [`CoreError::NotErgodic`] unless the graph has exactly one closed
+/// class, [`CoreError::ZeroReferenceRate`] if the reference edge has
+/// probability zero or leaves a transient node.
 pub fn solve_rates<D>(
     dg: &DecisionGraph<D>,
     reference_edge: usize,
@@ -91,112 +87,116 @@ where
     D: AnalysisDomain,
     D::Prob: Field,
 {
-    solve_rates_with(dg, reference_edge, RateMethod::DenseKernel)
-}
-
-/// [`solve_rates`] with an explicit solver strategy. All strategies
-/// return the same rates on ergodic graphs; they differ in how
-/// non-ergodicity is detected and in performance on large graphs.
-pub fn solve_rates_with<D>(
-    dg: &DecisionGraph<D>,
-    reference_edge: usize,
-    method: RateMethod,
-) -> Result<Rates<D::Prob>, CoreError>
-where
-    D: AnalysisDomain,
-    D::Prob: Field,
-{
     let m = dg.num_edges();
-    if reference_edge >= m {
+    let Some(reference) = dg.edges().get(reference_edge) else {
         return Err(CoreError::NoSuchEdge {
             edge: reference_edge,
         });
-    }
-    // The homogeneous system A·r = 0 with rows
-    //   r_e − p_e·Σ_{e′→src(e)} r_{e′} = 0.
-    let coefficient = |ei: usize| {
-        let e = &dg.edges()[ei];
-        let mut row: Vec<(usize, D::Prob)> = vec![(ei, D::Prob::one())];
-        for into in dg.edges_into(e.from) {
-            // subtract p_e at column `into` (may coincide with ei)
-            if let Some(slot) = row.iter_mut().find(|(c, _)| *c == into) {
-                slot.1 = slot.1.sub(&e.prob);
-            } else {
-                row.push((into, D::Prob::zero().sub(&e.prob)));
-            }
-        }
-        row
     };
-    match method {
-        RateMethod::DenseKernel => {
-            let mut a = Matrix::<D::Prob>::zeros(m, m);
-            for ei in 0..m {
-                for (c, v) in coefficient(ei) {
-                    a.set(ei, c, v);
-                }
-            }
-            let kernel = a.null_space();
-            if kernel.len() != 1 {
-                return Err(CoreError::NotErgodic {
-                    kernel_dim: kernel.len(),
-                });
-            }
-            let base = &kernel[0];
-            let scale = base[reference_edge].clone();
-            if scale.is_zero() {
-                return Err(CoreError::ZeroReferenceRate {
-                    edge: reference_edge,
-                });
-            }
-            let rates = base.iter().map(|r| r.div(&scale)).collect();
-            Ok(Rates {
-                rates,
-                reference: reference_edge,
-            })
+    let (class, closed) = closed_classes(dg);
+    let num_closed = closed.iter().filter(|&&c| c).count();
+    if num_closed != 1 {
+        return Err(CoreError::NotErgodic {
+            kernel_dim: num_closed,
+        });
+    }
+    if reference.prob.is_zero() || !closed[class[reference.from]] {
+        return Err(CoreError::ZeroReferenceRate {
+            edge: reference_edge,
+        });
+    }
+    // Rows r_e − p_e·Σ_{e′→src(e)} r_{e′} = 0, except the reference
+    // row, which reads r_ref = 1.
+    let mut into: Vec<Vec<usize>> = vec![Vec::new(); dg.num_nodes()];
+    for (ei, e) in dg.edges().iter().enumerate() {
+        into[e.to].push(ei);
+    }
+    let mut a = SparseMatrix::<D::Prob>::zeros(m, m);
+    for (ei, e) in dg.edges().iter().enumerate() {
+        a.set(ei, ei, D::Prob::one());
+        if ei == reference_edge {
+            continue;
         }
-        RateMethod::DenseFixed => {
-            let mut a = Matrix::<D::Prob>::zeros(m, m);
-            for ei in 0..m {
-                if ei == reference_edge {
-                    a.set(ei, ei, D::Prob::one());
-                    continue;
-                }
-                for (c, v) in coefficient(ei) {
-                    a.set(ei, c, v);
-                }
-            }
-            let mut b = vec![D::Prob::zero(); m];
-            b[reference_edge] = D::Prob::one();
-            let rates = a
-                .solve(&b)
-                .map_err(|_| CoreError::NotErgodic { kernel_dim: 0 })?;
-            Ok(Rates {
-                rates,
-                reference: reference_edge,
-            })
-        }
-        RateMethod::SparseFixed => {
-            let mut a = SparseMatrix::<D::Prob>::zeros(m, m);
-            for ei in 0..m {
-                if ei == reference_edge {
-                    a.set(ei, ei, D::Prob::one());
-                    continue;
-                }
-                for (c, v) in coefficient(ei) {
-                    a.set(ei, c, v);
-                }
-            }
-            let mut b = vec![D::Prob::zero(); m];
-            b[reference_edge] = D::Prob::one();
-            let rates = a
-                .solve(&b)
-                .map_err(|_| CoreError::NotErgodic { kernel_dim: 0 })?;
-            Ok(Rates {
-                rates,
-                reference: reference_edge,
-            })
+        for &c in &into[e.from] {
+            // may coincide with `ei` (a self-loop)
+            a.set(ei, c, a.get(ei, c).sub(&e.prob));
         }
     }
+    let mut b = vec![D::Prob::zero(); m];
+    b[reference_edge] = D::Prob::one();
+    Ok(Rates {
+        rates: a.solve(&b)?,
+        reference: reference_edge,
+    })
+}
+
+/// The strongly-connected classes of `dg`'s decision nodes under the
+/// edges of non-zero probability (iterative Tarjan): each node's class
+/// id, and per class whether it is closed — no such edge leaves it.
+fn closed_classes<D: AnalysisDomain>(dg: &DecisionGraph<D>) -> (Vec<usize>, Vec<bool>)
+where
+    D::Prob: Field,
+{
+    const UNSEEN: usize = usize::MAX;
+    let n = dg.num_nodes();
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0; n];
+    let mut class = vec![UNSEEN; n];
+    let mut stack = Vec::new();
+    let mut next = 0;
+    let mut num_classes = 0;
+    for root in 0..n {
+        if index[root] != UNSEEN {
+            continue;
+        }
+        // (node, position in its out-edge list)
+        let mut calls = vec![(root, 0)];
+        index[root] = next;
+        low[root] = next;
+        next += 1;
+        stack.push(root);
+        while let Some(&(v, pos)) = calls.last() {
+            if let Some(&ei) = dg.edges_from(v).get(pos) {
+                calls.last_mut().expect("non-empty").1 += 1;
+                let e = &dg.edges()[ei];
+                if e.prob.is_zero() {
+                    continue;
+                }
+                let w = e.to;
+                if index[w] == UNSEEN {
+                    index[w] = next;
+                    low[w] = next;
+                    next += 1;
+                    stack.push(w);
+                    calls.push((w, 0));
+                } else if class[w] == UNSEEN {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            calls.pop();
+            if let Some(&(u, _)) = calls.last() {
+                low[u] = low[u].min(low[v]);
+            }
+            if low[v] == index[v] {
+                loop {
+                    let w = stack.pop().expect("v is on the stack");
+                    class[w] = num_classes;
+                    if w == v {
+                        break;
+                    }
+                }
+                num_classes += 1;
+            }
+        }
+    }
+    let mut closed = vec![true; num_classes];
+    for e in dg.edges().iter().filter(|e| !e.prob.is_zero()) {
+        if class[e.from] != class[e.to] {
+            closed[class[e.from]] = false;
+        }
+    }
+    (class, closed)
 }
 
 #[cfg(test)]
@@ -275,14 +275,15 @@ mod tests {
     }
 
     #[test]
-    fn all_methods_agree() {
+    fn every_reference_edge_gives_the_same_flow() {
         let (_, dg) = retry_dg();
+        let base = solve_rates(&dg, 0).unwrap();
         for reference in 0..dg.num_edges() {
-            let kernel = solve_rates_with(&dg, reference, RateMethod::DenseKernel).unwrap();
-            let dense = solve_rates_with(&dg, reference, RateMethod::DenseFixed).unwrap();
-            let sparse = solve_rates_with(&dg, reference, RateMethod::SparseFixed).unwrap();
-            assert_eq!(kernel.as_slice(), dense.as_slice());
-            assert_eq!(kernel.as_slice(), sparse.as_slice());
+            let rates = solve_rates(&dg, reference).unwrap();
+            let scale = *base.rate(reference);
+            for (ei, r) in rates.as_slice().iter().enumerate() {
+                assert_eq!(*r, *base.rate(ei) / scale);
+            }
         }
     }
 }

@@ -269,8 +269,8 @@ impl<F: Field> Matrix<F> {
     }
 
     /// A basis of the null space `{x : A·x = 0}`. The rate equations of a
-    /// decision graph are homogeneous with a one-dimensional kernel; this
-    /// is how the canonical rates are extracted before normalisation.
+    /// decision graph are homogeneous with a one-dimensional kernel, so
+    /// this also serves as an independent oracle for the rate solver.
     pub fn null_space(&self) -> Vec<Vec<F>> {
         let mut work = self.clone();
         let pivots = work.rref();

@@ -16,9 +16,9 @@
 //!   form, rank, determinant, inverse, [`Matrix::solve`] and
 //!   [`Matrix::null_space`];
 //! * [`SparseMatrix`] — a map-per-row sparse variant with the same
-//!   elimination-based solver, kept as an ablation point for the
-//!   benchmark suite (the paper's systems are tiny, but the scaling
-//!   benches sweep larger graphs).
+//!   elimination-based solver: the production traversal-rate solver
+//!   (each rate equation touches only the edges entering one node, so
+//!   the systems stay sparse as decision graphs grow).
 
 #![allow(clippy::needless_range_loop)] // index-based loops mirror the matrix algebra
 

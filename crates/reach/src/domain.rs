@@ -20,10 +20,10 @@ use crate::ReachError;
 
 /// The time/probability interpretation used by a reachability analysis.
 ///
-/// Domains and their times/probabilities are `Send + Sync` so the
-/// graph construction can expand frontier states on worker threads
-/// (the `parallel` feature of this crate); all existing domains are
-/// plain data and satisfy the bounds for free.
+/// Domains and their times/probabilities are `Send + Sync` so graphs
+/// and the artifacts derived from them can be shared across threads
+/// (a session hands them to concurrent requests); all existing domains
+/// are plain data and satisfy the bounds for free.
 pub trait AnalysisDomain: Sync {
     /// Representation of delays (RET/RFT entries, edge delays).
     type Time: Clone + Eq + Hash + fmt::Debug + fmt::Display + Send + Sync;

@@ -77,22 +77,12 @@ pub struct TrgOptions {
     /// Maximum number of states to explore before failing with
     /// [`ReachError::StateLimitExceeded`].
     pub max_states: usize,
-    /// Number of worker threads for frontier expansion: `1` (the
-    /// default) builds serially; `0` uses the machine's available
-    /// parallelism; any other value uses that many workers. The state
-    /// numbering, edges and min-resolutions are identical for every
-    /// setting — successors of a breadth-first frontier are generated
-    /// in parallel and merged deterministically. Requires the
-    /// `parallel` feature; without it non-`1` values fall back to the
-    /// serial construction.
-    pub threads: usize,
 }
 
 impl Default for TrgOptions {
     fn default() -> Self {
         TrgOptions {
             max_states: 100_000,
-            threads: 1,
         }
     }
 }
@@ -447,26 +437,6 @@ pub fn build_trg<D: AnalysisDomain>(
     domain: &D,
     opts: &TrgOptions,
 ) -> Result<TimedReachabilityGraph<D>, ReachError> {
-    #[cfg(feature = "parallel")]
-    {
-        // Resolve `threads: 0` (auto) against the machine. With a
-        // single effective worker the fan-out machinery (per-candidate
-        // hashing, pre-resolution) is pure overhead, so anything that
-        // resolves to one worker takes the serial path below. Cached:
-        // `available_parallelism` walks the cgroup fs on every call.
-        static AUTO_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        let threads = match opts.threads {
-            0 => *AUTO_THREADS.get_or_init(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }),
-            n => n,
-        };
-        if threads > 1 {
-            return parallel::build_trg_parallel(net, domain, opts, threads);
-        }
-    }
     let nt = net.num_transitions();
     let mut initial = TimedState {
         marking: net.initial_marking().clone(),
@@ -744,218 +714,6 @@ fn elapse_successor<D: AnalysisDomain>(
     Ok((Some((edge, succ)), resolution))
 }
 
-/// Parallel frontier expansion (the `parallel` feature).
-///
-/// The breadth-first construction is level-synchronous: all states of
-/// one frontier are expanded before any state of the next. Successor
-/// generation per state — marking arithmetic, the selector cross
-/// product, enablement refresh — is independent work, so each level is
-/// fanned out across worker threads. Discovered states are then merged
-/// *sequentially in frontier order*, which reproduces the serial FIFO
-/// numbering exactly: the graph (state table, edges, min-resolutions,
-/// and any error) is byte-identical to the serial construction.
-///
-/// The seen-set is sharded by state hash. Workers pre-resolve their
-/// successors against the frozen shards of previous levels without
-/// locks; the sequential merge only touches the shard a state hashes
-/// to, so its hash lookups stay cheap as the graph grows.
-#[cfg(feature = "parallel")]
-mod parallel {
-    use std::collections::HashMap;
-    use std::hash::{Hash, Hasher};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    use tpn_net::TimedPetriNet;
-
-    use super::{
-        refresh_enablement, successors_of, AnalysisDomain, Edge, MinResolution, ReachError,
-        StateId, TimedReachabilityGraph, TimedState, TrgOptions,
-    };
-
-    /// A successor produced by a worker: the edge label, the raw state,
-    /// its hash, and its id if it was already present in a frozen shard.
-    type Candidate<D> = (
-        Edge<D>,
-        TimedState<<D as AnalysisDomain>::Time>,
-        u64,
-        Option<StateId>,
-    );
-
-    /// One frontier state's expansion result.
-    type Expansion<D> = Result<
-        (
-            Vec<Candidate<D>>,
-            Option<MinResolution<<D as AnalysisDomain>::Time>>,
-        ),
-        ReachError,
-    >;
-
-    /// The seen-set, sharded by state hash (shard count is a power of
-    /// two). Shards are read concurrently by workers and written only
-    /// by the sequential merge.
-    struct ShardedIndex<D: AnalysisDomain> {
-        shards: Vec<HashMap<TimedState<D::Time>, StateId>>,
-        mask: u64,
-    }
-
-    impl<D: AnalysisDomain> ShardedIndex<D> {
-        fn new(shard_count: usize) -> Self {
-            let n = shard_count.next_power_of_two();
-            ShardedIndex {
-                shards: (0..n).map(|_| HashMap::new()).collect(),
-                mask: n as u64 - 1,
-            }
-        }
-
-        fn hash_of(state: &TimedState<D::Time>) -> u64 {
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            state.hash(&mut hasher);
-            hasher.finish()
-        }
-
-        fn get(&self, hash: u64, state: &TimedState<D::Time>) -> Option<StateId> {
-            self.shards[(hash & self.mask) as usize].get(state).copied()
-        }
-
-        fn insert(&mut self, hash: u64, state: TimedState<D::Time>, id: StateId) {
-            self.shards[(hash & self.mask) as usize].insert(state, id);
-        }
-    }
-
-    /// Expand every frontier state, in parallel when the frontier is
-    /// wide enough to pay for the fan-out. Results are positionally
-    /// aligned with `frontier`.
-    fn expand_frontier<D: AnalysisDomain>(
-        net: &TimedPetriNet,
-        domain: &D,
-        states: &[TimedState<D::Time>],
-        index: &ShardedIndex<D>,
-        frontier: &[StateId],
-        threads: usize,
-    ) -> Vec<Expansion<D>> {
-        let expand_one = |&sid: &StateId| -> Expansion<D> {
-            let (succs, resolution) = successors_of(net, domain, &states[sid.index()], sid)?;
-            let candidates = succs
-                .into_iter()
-                .map(|(edge, succ)| {
-                    let hash = ShardedIndex::<D>::hash_of(&succ);
-                    let pre = index.get(hash, &succ);
-                    (edge, succ, hash, pre)
-                })
-                .collect();
-            Ok((candidates, resolution))
-        };
-
-        if threads < 2 || frontier.len() < 2 {
-            return frontier.iter().map(expand_one).collect();
-        }
-        // Dynamic scheduling off a shared counter: workers grab the next
-        // unexpanded frontier position, so uneven successor costs stay
-        // balanced. Each worker returns (position, result) pairs, which
-        // are then scattered back into frontier order.
-        let workers = threads.min(frontier.len());
-        let next = AtomicUsize::new(0);
-        let worker_outputs: Vec<Vec<(usize, Expansion<D>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(sid) = frontier.get(i) else { break };
-                            out.push((i, expand_one(sid)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // Re-raise a worker panic with its original payload so
-                // domain panics read the same as on the serial path.
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        });
-        let mut results: Vec<Option<Expansion<D>>> = Vec::new();
-        results.resize_with(frontier.len(), || None);
-        for (i, expansion) in worker_outputs.into_iter().flatten() {
-            results[i] = Some(expansion);
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every frontier slot filled"))
-            .collect()
-    }
-
-    pub(super) fn build_trg_parallel<D: AnalysisDomain>(
-        net: &TimedPetriNet,
-        domain: &D,
-        opts: &TrgOptions,
-        threads: usize,
-    ) -> Result<TimedReachabilityGraph<D>, ReachError> {
-        debug_assert!(
-            threads > 1,
-            "caller resolves single-worker builds to the serial path"
-        );
-        let nt = net.num_transitions();
-        let mut initial = TimedState {
-            marking: net.initial_marking().clone(),
-            ret: vec![None; nt],
-            rft: vec![None; nt],
-        };
-        refresh_enablement(net, domain, &mut initial)?;
-
-        let mut states: Vec<TimedState<D::Time>> = vec![initial.clone()];
-        let mut edges: Vec<Vec<Edge<D>>> = vec![Vec::new()];
-        let mut index: ShardedIndex<D> = ShardedIndex::new(4 * threads);
-        index.insert(ShardedIndex::<D>::hash_of(&initial), initial, StateId(0));
-        let mut min_resolutions = Vec::new();
-        let mut frontier = vec![StateId(0)];
-
-        while !frontier.is_empty() {
-            let expansions = expand_frontier(net, domain, &states, &index, &frontier, threads);
-            // Deterministic merge: walk expansions in frontier order and
-            // number new states exactly as the serial FIFO queue would.
-            let mut next_frontier = Vec::new();
-            for (&sid, expansion) in frontier.iter().zip(expansions) {
-                let (candidates, resolution) = expansion?;
-                min_resolutions.extend(resolution);
-                for (mut edge, succ, hash, pre) in candidates {
-                    // A pre-resolved hit is still valid — shards only
-                    // grow — but a miss must be re-checked against the
-                    // states merged earlier in this level.
-                    let to = match pre.or_else(|| index.get(hash, &succ)) {
-                        Some(id) => id,
-                        None => {
-                            if states.len() >= opts.max_states {
-                                return Err(ReachError::StateLimitExceeded {
-                                    limit: opts.max_states,
-                                });
-                            }
-                            let id = StateId(states.len() as u32);
-                            states.push(succ.clone());
-                            edges.push(Vec::new());
-                            index.insert(hash, succ, id);
-                            next_frontier.push(id);
-                            id
-                        }
-                    };
-                    edge.from = sid;
-                    edge.to = to;
-                    edges[sid.index()].push(edge);
-                }
-            }
-            frontier = next_frontier;
-        }
-
-        Ok(TimedReachabilityGraph {
-            states,
-            edges,
-            min_resolutions,
-        })
-    }
-}
-
 /// Restore the RET invariant after a marking change: newly enabled
 /// transitions start their enabling clock at `E(t)`; disabled ones are
 /// cleared ("reset its RET to 0"); continuously enabled ones keep their
@@ -1212,14 +970,7 @@ mod tests {
             .firing_const(1)
             .add();
         let net = b.build().unwrap();
-        let err = build_trg(
-            &net,
-            &NumericDomain::new(),
-            &TrgOptions {
-                max_states: 50,
-                ..TrgOptions::default()
-            },
-        );
+        let err = build_trg(&net, &NumericDomain::new(), &TrgOptions { max_states: 50 });
         assert!(matches!(
             err,
             Err(ReachError::StateLimitExceeded { limit: 50 })
@@ -1250,120 +1001,6 @@ mod tests {
         let s1 = trg.state(e0.to);
         let later = net.transition_by_name("later").unwrap();
         assert!(s1.ret(later).is_some());
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_matches_serial_exactly() {
-        // A net with decision states, parallelism and cycles: two
-        // independent rings plus a weighted conflict feeding both.
-        let mut b = NetBuilder::new("mix");
-        let p = b.place("p", 1);
-        let l = b.place("l", 0);
-        let r2 = b.place("r", 0);
-        let q1 = b.place("q1", 1);
-        let q2 = b.place("q2", 0);
-        b.transition("left")
-            .input(p)
-            .output(l)
-            .firing_const(2)
-            .weight_const(3)
-            .add();
-        b.transition("right")
-            .input(p)
-            .output(r2)
-            .firing_const(3)
-            .weight_const(1)
-            .add();
-        b.transition("lback")
-            .input(l)
-            .output(p)
-            .firing_const(1)
-            .add();
-        b.transition("rback")
-            .input(r2)
-            .output(p)
-            .firing_const(4)
-            .add();
-        b.transition("tick")
-            .input(q1)
-            .output(q2)
-            .firing_const(5)
-            .add();
-        b.transition("tock")
-            .input(q2)
-            .output(q1)
-            .firing_const(7)
-            .add();
-        let net = b.build().unwrap();
-
-        let domain = NumericDomain::new();
-        let serial = build_trg(&net, &domain, &TrgOptions::default()).unwrap();
-        for threads in [0, 2, 3, 8] {
-            let par = build_trg(
-                &net,
-                &domain,
-                &TrgOptions {
-                    threads,
-                    ..TrgOptions::default()
-                },
-            )
-            .unwrap();
-            // byte-identical state tables and graphs
-            assert_eq!(par.describe_states(&net), serial.describe_states(&net));
-            assert_eq!(par.to_dot(&net), serial.to_dot(&net));
-            assert_eq!(par.min_resolutions().len(), serial.min_resolutions().len());
-            for (a, b) in par.min_resolutions().iter().zip(serial.min_resolutions()) {
-                assert_eq!(a.state, b.state);
-                assert_eq!(a.candidates, b.candidates);
-                assert_eq!(a.chosen, b.chosen);
-            }
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_reports_same_errors() {
-        // state-limit error triggers at the same limit
-        let mut b = NetBuilder::new("unbounded");
-        let p = b.place("p", 1);
-        let q = b.place("q", 0);
-        b.transition("grow")
-            .input(p)
-            .output(p)
-            .output(q)
-            .firing_const(1)
-            .add();
-        let net = b.build().unwrap();
-        let err = build_trg(
-            &net,
-            &NumericDomain::new(),
-            &TrgOptions {
-                max_states: 50,
-                threads: 4,
-            },
-        );
-        assert!(matches!(
-            err,
-            Err(ReachError::StateLimitExceeded { limit: 50 })
-        ));
-
-        // the multiple-firing violation is detected identically
-        let mut b = NetBuilder::new("viol");
-        let p = b.place("p", 2);
-        b.transition("a").input(p).firing_const(1).add();
-        let net = b.build().unwrap();
-        let serial = build_trg(&net, &NumericDomain::new(), &TrgOptions::default()).unwrap_err();
-        let par = build_trg(
-            &net,
-            &NumericDomain::new(),
-            &TrgOptions {
-                threads: 4,
-                ..TrgOptions::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(format!("{serial}"), format!("{par}"));
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use stats::{Stage, StageCounters, StageSnapshot, STAGES};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use tpn_core::{solve_rates_with, DecisionGraph, ExprTarget, Performance, RateMethod, Rates};
+use tpn_core::{solve_rates, DecisionGraph, ExprTarget, Performance, Rates};
 use tpn_eval::Compiled;
 use tpn_net::{symbols, Frequency, TimedPetriNet, TimingAssignment};
 use tpn_rational::Rational;
@@ -322,13 +322,11 @@ impl Session {
     }
 
     /// The traversal rates of [`Session::decision_graph`], normalised
-    /// against reference edge 0 and solved with the configured
-    /// [`SessionOptions::rate_method`].
+    /// against reference edge 0.
     pub fn rates(&self) -> Result<Arc<Rates<Rational>>, SessionError> {
         demand(&self.counters, Stage::Rates, &self.rates, || {
             let dg = self.decision_graph()?;
-            solve_rates_with(&dg, 0, self.options.rate_method_or_default())
-                .map_err(|e| SessionError::new(Stage::Rates, e))
+            solve_rates(&dg, 0).map_err(|e| SessionError::new(Stage::Rates, e))
         })
     }
 
@@ -365,13 +363,7 @@ impl Session {
         let trg =
             build_trg(&self.net, &domain, &self.options.trg_options()).map_err(|e| err(&e))?;
         let dg = DecisionGraph::from_trg(&trg, &domain).map_err(|e| err(&e))?;
-        // The symbolic solve always uses the sparse fixed-reference
-        // eliminator: every elementary operation over the lifted field
-        // allocates, so the dense kernel's full-matrix sweeps cost an
-        // order of magnitude more for the same (exactly agreeing)
-        // rates. Non-ergodic graphs still fail: fixing one equation of
-        // a system with a ≥2-dimensional null space leaves it singular.
-        let rates = solve_rates_with(&dg, 0, RateMethod::SparseFixed).map_err(|e| err(&e))?;
+        let rates = solve_rates(&dg, 0).map_err(|e| err(&e))?;
         let perf = Performance::new(&dg, rates, &domain).map_err(|e| err(&e))?;
         Ok(LiftedArtifacts {
             swept: swept.to_vec(),
@@ -574,6 +566,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpn_core::CoreError;
     use tpn_net::parse_tpn;
 
     const CYCLE: &str = "net c\nplace a init 1\nplace b\n\
@@ -638,6 +631,43 @@ mod tests {
         assert_eq!((snap.hits, snap.builds), (1, 2));
         // both shapes shared the one lift
         assert_eq!(s.stage_stats(Stage::Lifted).builds, 1);
+    }
+
+    /// `p0` chooses `a` → `p1` or `b` → `p2`; each of `p1`, `p2` then
+    /// loops forever through two self-loops: two closed classes.
+    const TWO_CLASSES: &str = "net two\nplace p0 init 1\nplace p1\nplace p2\n\
+        trans a in p0 out p1 firing 1\ntrans b in p0 out p2 firing 1\n\
+        trans c1 in p1 out p1 firing 1\ntrans c2 in p1 out p1 firing 2\n\
+        trans d1 in p2 out p2 firing 1\ntrans d2 in p2 out p2 firing 3";
+
+    /// Both of `p0`'s choices lead to `p1`: one closed class, but the
+    /// reference edge 0 leaves the transient node `p0`.
+    const TRANSIENT_REFERENCE: &str = "net transient\nplace p0 init 1\nplace p1\n\
+        trans a in p0 out p1 firing 1\ntrans b in p0 out p1 firing 2\n\
+        trans c1 in p1 out p1 firing 1\ntrans c2 in p1 out p1 firing 2";
+
+    /// The numeric `rates` stage and the lifted chain fail alike.
+    fn assert_both_paths_fail(text: &str, expected: CoreError) {
+        let s = Session::new(parse_tpn(text).unwrap(), SessionOptions::new());
+        let numeric = s.rates().unwrap_err();
+        assert_eq!(numeric.stage(), Stage::Rates);
+        assert_eq!(numeric.message(), expected.to_string());
+        let lifted = s.lifted(&[symbols::firing("c1")]).unwrap_err();
+        assert_eq!(lifted.stage(), Stage::Lifted);
+        assert_eq!(lifted.message(), expected.to_string());
+    }
+
+    #[test]
+    fn two_recurrent_classes_are_not_ergodic_on_both_paths() {
+        assert_both_paths_fail(TWO_CLASSES, CoreError::NotErgodic { kernel_dim: 2 });
+    }
+
+    #[test]
+    fn transient_reference_edge_has_zero_rate_on_both_paths() {
+        assert_both_paths_fail(
+            TRANSIENT_REFERENCE,
+            CoreError::ZeroReferenceRate { edge: 0 },
+        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Session configuration.
 
-use tpn_core::RateMethod;
 use tpn_reach::TrgOptions;
 
 /// Every knob of a [`Session`](crate::Session), with a builder API.
@@ -24,20 +23,16 @@ use tpn_reach::TrgOptions;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionOptions {
     max_states: usize,
-    trg_threads: usize,
     threads: usize,
     max_points: u64,
-    rate_method: RateMethod,
 }
 
 impl Default for SessionOptions {
     fn default() -> SessionOptions {
         SessionOptions {
             max_states: TrgOptions::default().max_states,
-            trg_threads: TrgOptions::default().threads,
             threads: 4,
             max_points: 1_000_000,
-            rate_method: RateMethod::default(),
         }
     }
 }
@@ -56,14 +51,6 @@ impl SessionOptions {
         self
     }
 
-    /// Worker threads for TRG frontier expansion: `1` (the default)
-    /// builds serially, `0` uses the machine's parallelism. State
-    /// numbering is identical at every setting.
-    pub fn trg_threads(mut self, n: usize) -> SessionOptions {
-        self.trg_threads = n;
-        self
-    }
-
     /// Worker threads for compiled-expression evaluation (sweeps,
     /// optimizer seeding). Output is identical at any count.
     pub fn threads(mut self, n: usize) -> SessionOptions {
@@ -77,22 +64,9 @@ impl SessionOptions {
         self
     }
 
-    /// How the homogeneous rate system is solved — the pipeline's one
-    /// genuine algorithm choice (dense kernel, dense fixed-reference or
-    /// sparse fixed-reference; all agree exactly).
-    pub fn rate_method(mut self, m: RateMethod) -> SessionOptions {
-        self.rate_method = m;
-        self
-    }
-
     /// The configured TRG state limit.
     pub fn max_states_or_default(&self) -> usize {
         self.max_states
-    }
-
-    /// The configured TRG thread count.
-    pub fn trg_threads_or_default(&self) -> usize {
-        self.trg_threads
     }
 
     /// The configured evaluation thread count.
@@ -105,16 +79,10 @@ impl SessionOptions {
         self.max_points
     }
 
-    /// The configured rate-solving method.
-    pub fn rate_method_or_default(&self) -> RateMethod {
-        self.rate_method
-    }
-
     /// The `TrgOptions` this session hands to `build_trg`.
     pub fn trg_options(&self) -> TrgOptions {
         TrgOptions {
             max_states: self.max_states,
-            threads: self.trg_threads,
         }
     }
 }

@@ -76,8 +76,8 @@ pub use tpn_symbolic as symbolic;
 /// The commonly used names, for glob import.
 pub mod prelude {
     pub use tpn_core::{
-        solve_rates, solve_rates_with, DecisionGraph, ExprTarget, OptCertificate, OptGoal, Optimum,
-        Performance, RateMethod, Rates,
+        solve_rates, DecisionGraph, ExprTarget, OptCertificate, OptGoal, Optimum, Performance,
+        Rates,
     };
     pub use tpn_eval::{argbest_f64, sweep_exact, sweep_f64, Axis, Compiled, Grid, SweepOptions};
     pub use tpn_net::{Bag, Marking, NetBuilder, TimedPetriNet, TimingAssignment};

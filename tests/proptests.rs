@@ -3,6 +3,8 @@
 //! each other on randomly generated models.
 
 use proptest::prelude::*;
+use timed_petri::core::CoreError;
+use timed_petri::linalg::Matrix;
 use timed_petri::prelude::*;
 use timed_petri::protocols::{families, simple};
 use tpn_reach::EdgeKind;
@@ -191,6 +193,98 @@ proptest! {
         at.set(symq("t8"), Rational::ONE - params.ack_loss);
         at.set(symq("t9"), params.ack_loss);
         prop_assert_eq!(expr.eval(&at), Some(numeric_t));
+    }
+}
+
+/// The dense null-space rate solve, kept as a test oracle for
+/// `solve_rates`: the full homogeneous system, its kernel computed by
+/// dense elimination, normalised so the reference edge's rate is one.
+fn dense_kernel_rates(
+    dg: &DecisionGraph<NumericDomain>,
+    reference: usize,
+) -> Result<Vec<Rational>, CoreError> {
+    let m = dg.num_edges();
+    if reference >= m {
+        return Err(CoreError::NoSuchEdge { edge: reference });
+    }
+    let mut a = Matrix::<Rational>::zeros(m, m);
+    for (ei, e) in dg.edges().iter().enumerate() {
+        a.set(ei, ei, Rational::ONE);
+        for into in dg.edges_into(e.from) {
+            a.set(ei, into, *a.get(ei, into) - e.prob);
+        }
+    }
+    let kernel = a.null_space();
+    if kernel.len() != 1 {
+        return Err(CoreError::NotErgodic {
+            kernel_dim: kernel.len(),
+        });
+    }
+    let scale = kernel[0][reference];
+    if scale.is_zero() {
+        return Err(CoreError::ZeroReferenceRate { edge: reference });
+    }
+    Ok(kernel[0].iter().map(|r| *r / scale).collect())
+}
+
+/// Oracle nets: `0` a ring, `1` a producer/consumer buffer, `2` a lossy
+/// chain, `3` two recurrent classes (`p0` chooses `p1` or `p2`, each
+/// then loops on two self-loops), `4` a transient start (both of `p0`'s
+/// choices lead to `p1`).
+fn oracle_net(kind: u8, times: &[Rational], small: u32, loss_num: i128) -> TimedPetriNet {
+    let t = |i: usize| times[i % times.len()];
+    match kind {
+        0 => families::cycle(times),
+        1 => families::producer_consumer(small, t(0), t(1)),
+        2 => families::lossy_chain(small as usize, Rational::new(loss_num, 10), t(0)).0,
+        _ => {
+            let two_classes = kind == 3;
+            let mut b = NetBuilder::new("split");
+            let p0 = b.place("p0", 1);
+            let p1 = b.place("p1", 0);
+            let p2 = if two_classes { b.place("p2", 0) } else { p1 };
+            b.transition("a").input(p0).output(p1).firing(t(0)).add();
+            b.transition("b")
+                .input(p0)
+                .output(p2)
+                .firing(t(1))
+                .weight(Rational::from_int(loss_num))
+                .add();
+            let loops: &[_] = if two_classes {
+                &[p1, p1, p2, p2]
+            } else {
+                &[p1, p1]
+            };
+            for (i, &p) in loops.iter().enumerate() {
+                b.transition(&format!("loop{i}"))
+                    .input(p)
+                    .output(p)
+                    .firing(t(i + 2))
+                    .add();
+            }
+            b.build().unwrap()
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn solve_rates_agrees_with_the_dense_kernel_oracle(
+        kind in 0u8..5,
+        times in cycle_times(),
+        small in 1u32..5,
+        loss_num in 1i128..=9,
+    ) {
+        let net = oracle_net(kind, &times, small, loss_num);
+        let domain = NumericDomain::new();
+        let trg = build_trg(&net, &domain, &TrgOptions::default()).unwrap();
+        let dg = DecisionGraph::from_trg(&trg, &domain).unwrap();
+        for reference in 0..=dg.num_edges() {
+            let fast = solve_rates(&dg, reference).map(|r| r.as_slice().to_vec());
+            prop_assert_eq!(fast, dense_kernel_rates(&dg, reference));
+        }
     }
 }
 
