@@ -420,6 +420,49 @@ mod tests {
         assert_eq!(s.counter_index("err.analyze"), Some(endpoint_error_col(0)));
         assert_eq!(s.gauge_index("rss_bytes"), Some(GAUGE_RSS));
         assert_eq!(s.hist_index("analyze"), Some(0));
+        // Alert rules address ring columns by name (`counter_rate` and
+        // `gauge` signals), so the full name lists are a contract.
+        let mut counters = vec![
+            "requests",
+            "computations",
+            "hits",
+            "misses",
+            "coalesced",
+            "evictions",
+            "sweeps",
+            "sweep_hits",
+            "sweep_compiles",
+            "sweep_points",
+            "optimizes",
+            "optimize_hits",
+            "optimize_solves",
+            "optimize_certified",
+            "whatifs",
+            "whatif_perturbations",
+            "whatif_hits",
+            "whatif_retimes",
+            "whatif_rejects",
+            "v1_envelopes",
+            "session_hits",
+            "session_misses",
+            "session_evictions",
+        ]
+        .into_iter()
+        .map(String::from)
+        .collect::<Vec<_>>();
+        counters.extend(ENDPOINTS.iter().map(|e| format!("err.{}", e.name())));
+        assert_eq!(s.counters, counters);
+        assert_eq!(
+            s.gauges,
+            [
+                "cache_entries",
+                "cache_bytes",
+                "sessions",
+                "rss_bytes",
+                "open_fds",
+                "os_threads"
+            ]
+        );
     }
 
     #[test]

@@ -125,6 +125,31 @@ fn stats_document_matches_pre_instrumentation_bytes() {
     handle.shutdown();
 }
 
+/// Every `# HELP` and `# TYPE` line of `/metrics`, in order, is pinned
+/// by `tests/fixtures/golden/metrics_families.txt`: family names, HELP
+/// text, types and family order are part of the scrape contract, not
+/// just the sampled values.
+#[test]
+fn metrics_families_match_the_golden_help_and_type_lines() {
+    let (handle, addr) = start_server();
+    replay_capture_sequence(addr);
+    let (status, text) = http(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let live: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("# HELP ") || l.starts_with("# TYPE "))
+        .collect();
+    let golden = golden("metrics_families.txt");
+    let want: Vec<&str> = golden.lines().collect();
+    assert_eq!(
+        live,
+        want,
+        "/metrics families drifted from the golden capture\n--- live ---\n{}\n",
+        live.join("\n")
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn metrics_document_validates_and_covers_every_stats_counter() {
     let (handle, addr) = start_server();
