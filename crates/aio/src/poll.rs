@@ -74,9 +74,11 @@ impl Poller {
         sys::sys_epoll_del(self.epfd, fd)
     }
 
-    /// Wait for readiness, appending into `events`. `None` blocks
-    /// indefinitely. Returns the number of events delivered; `EINTR`
-    /// is swallowed and reported as zero events.
+    /// Wait for readiness, replacing the contents of `events` with the
+    /// notifications of this wake-up only (the vector is cleared first,
+    /// so callers reuse one buffer without re-dispatching old events).
+    /// `None` blocks indefinitely. Returns the number of events
+    /// delivered; `EINTR` is swallowed and reported as zero events.
     pub fn wait(
         &mut self,
         events: &mut Vec<Event>,
@@ -90,6 +92,7 @@ impl Poller {
                 .min(i32::MAX as u128) as i32,
             None => -1,
         };
+        events.clear();
         let n = match sys::sys_epoll_wait(self.epfd, &mut self.buf, timeout_ms) {
             Ok(n) => n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
@@ -112,5 +115,28 @@ impl Poller {
 impl Drop for Poller {
     fn drop(&mut self) {
         sys::sys_close(self.epfd);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wake::Waker;
+
+    #[test]
+    fn wait_replaces_rather_than_appends() {
+        let mut poller = Poller::new().unwrap();
+        let waker = Waker::new().unwrap();
+        poller.add(waker.fd(), 7, interest::READ).unwrap();
+        let mut events = Vec::new();
+        waker.wake();
+        assert_eq!(poller.wait(&mut events, Some(Duration::ZERO)).unwrap(), 1);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, 7);
+        waker.drain();
+        // Edge-triggered: no new edge, so the second wait delivers
+        // nothing — and must not hand back the first wake-up again.
+        assert_eq!(poller.wait(&mut events, Some(Duration::ZERO)).unwrap(), 0);
+        assert!(events.is_empty(), "stale events replayed: {events:?}");
     }
 }
