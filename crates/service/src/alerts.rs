@@ -921,7 +921,7 @@ mod tests {
             let mut engine = cfg.engine(&slo);
             let ring = SeriesRing::new(history::schema(), 16);
             let m = crate::metrics::ServiceMetrics::new(true);
-            let base = crate::metrics::StatsSnapshot::default();
+            let base = crate::metrics::StatValues::default();
             for (i, rss) in [200.0, 200.0, 200.0, 0.0, 0.0, 0.0].iter().enumerate() {
                 let mut f = history::collect_frame(&m, &base, (i as u64 + 1) * 1_000);
                 f.gauges[history::GAUGE_RSS] = *rss;
@@ -946,7 +946,7 @@ mod tests {
         let mut engine = AlertsConfig::default().engine(&slo);
         let ring = SeriesRing::new(history::schema(), 8);
         let m = crate::metrics::ServiceMetrics::new(true);
-        let base = crate::metrics::StatsSnapshot::default();
+        let base = crate::metrics::StatValues::default();
         let f0 = history::collect_frame(&m, &base, 1_000);
         ring.push(&f0);
         engine.tick(&ring, &f0);

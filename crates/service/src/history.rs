@@ -18,62 +18,58 @@ use tpn_obs::series::{Frame, SeriesRing, SeriesSchema};
 
 use crate::analysis::ServiceError;
 use crate::json::JsonWriter;
-use crate::metrics::{ServiceMetrics, StatsSnapshot, ENDPOINTS};
+use crate::metrics::{Kind, ServiceMetrics, Stat, StatRow, StatValues, ENDPOINTS, STATS};
 
-/// The monotone service-wide counters each frame carries, in column
-/// order. Gauge-like `/stats` numbers (entries, bytes, sessions) are
-/// gauge columns instead.
-pub(crate) const SERVICE_COUNTERS: [&str; 23] = [
-    "requests",
-    "computations",
-    "hits",
-    "misses",
-    "coalesced",
-    "evictions",
-    "sweeps",
-    "sweep_hits",
-    "sweep_compiles",
-    "sweep_points",
-    "optimizes",
-    "optimize_hits",
-    "optimize_solves",
-    "optimize_certified",
-    "whatifs",
-    "whatif_perturbations",
-    "whatif_hits",
-    "whatif_retimes",
-    "whatif_rejects",
-    "v1_envelopes",
-    "session_hits",
-    "session_misses",
-    "session_evictions",
-];
+/// The table rows the ring carries as `kind` columns, in column order.
+fn ring_rows(kind: Kind) -> impl Iterator<Item = &'static StatRow> {
+    STATS
+        .iter()
+        .filter(move |row| row.kind == kind && row.ring.is_some())
+}
 
-/// The gauge columns, in order: cache sizing, session count, then the
-/// `/proc/self` process gauges.
-pub(crate) const GAUGES: [&str; 6] = [
-    "cache_entries",
-    "cache_bytes",
-    "sessions",
-    "rss_bytes",
-    "open_fds",
-    "os_threads",
-];
+/// Ring columns of `kind` taken by the table rows before index `end`.
+const fn ring_columns(kind: Kind, end: usize) -> usize {
+    let mut columns = 0;
+    let mut i = 0;
+    while i < end {
+        if STATS[i].ring.is_some() && STATS[i].kind as usize == kind as usize {
+            columns += 1;
+        }
+        i += 1;
+    }
+    columns
+}
+
+/// The column a ring row occupies among the ring's columns of its kind.
+const fn ring_col(stat: Stat) -> usize {
+    ring_columns(STATS[stat as usize].kind, stat as usize)
+}
+
+/// Ring counter columns taken by table rows; the per-endpoint 5xx
+/// counters follow them.
+const TABLE_COUNTERS: usize = ring_columns(Kind::Counter, STATS.len());
+
+/// Ring gauge columns taken by table rows; the `/proc/self` process
+/// gauges follow them.
+const TABLE_GAUGES: usize = ring_columns(Kind::Gauge, STATS.len());
+
+/// The `/proc/self` gauge columns appended after the table's gauges.
+const PROCESS_GAUGES: [&str; 3] = ["rss_bytes", "open_fds", "os_threads"];
 
 // Service-counter column indices the SLO engine and renderer read.
-pub(crate) const COL_REQUESTS: usize = 0;
-pub(crate) const COL_HITS: usize = 2;
-pub(crate) const COL_MISSES: usize = 3;
+pub(crate) const COL_REQUESTS: usize = ring_col(Stat::Requests);
+pub(crate) const COL_HITS: usize = ring_col(Stat::Hits);
+pub(crate) const COL_MISSES: usize = ring_col(Stat::Misses);
 
 // Gauge column indices.
-pub(crate) const GAUGE_RSS: usize = 3;
-pub(crate) const GAUGE_FDS: usize = 4;
-pub(crate) const GAUGE_THREADS: usize = 5;
+pub(crate) const GAUGE_RSS: usize = TABLE_GAUGES;
+pub(crate) const GAUGE_FDS: usize = TABLE_GAUGES + 1;
+pub(crate) const GAUGE_THREADS: usize = TABLE_GAUGES + 2;
 
 /// Counter column of one endpoint's 5xx responses (the error
 /// dimension of its SLO window).
 pub(crate) fn endpoint_error_col(endpoint: usize) -> usize {
-    SERVICE_COUNTERS.len() + endpoint
+    TABLE_COUNTERS + endpoint
 }
 
 /// Histogram column of one endpoint's request durations.
@@ -81,65 +77,38 @@ pub(crate) fn endpoint_hist_col(endpoint: usize) -> usize {
     endpoint
 }
 
-/// The frame layout every service ring uses.
+/// The frame layout every service ring uses: the table's ring
+/// counters then one 5xx counter per endpoint; the table's ring gauges
+/// then the process gauges; one duration histogram per endpoint.
 pub(crate) fn schema() -> SeriesSchema {
-    let mut counters: Vec<String> = SERVICE_COUNTERS.iter().map(|s| s.to_string()).collect();
+    let names = |kind| ring_rows(kind).filter_map(|row| row.ring.map(String::from));
+    let mut counters: Vec<String> = names(Kind::Counter).collect();
     counters.extend(ENDPOINTS.iter().map(|e| format!("err.{}", e.name())));
+    let mut gauges: Vec<String> = names(Kind::Gauge).collect();
+    gauges.extend(PROCESS_GAUGES.iter().map(|s| s.to_string()));
     SeriesSchema {
         counters,
-        gauges: GAUGES.iter().map(|s| s.to_string()).collect(),
+        gauges,
         hists: ENDPOINTS.iter().map(|e| e.name().to_string()).collect(),
     }
 }
 
 /// Collect one frame from the live counters. `stats` must be freshly
-/// snapshotted; `unix_ms` stamps the frame.
-pub(crate) fn collect_frame(
-    metrics: &ServiceMetrics,
-    stats: &StatsSnapshot,
-    unix_ms: u64,
-) -> Frame {
+/// read; `unix_ms` stamps the frame.
+pub(crate) fn collect_frame(metrics: &ServiceMetrics, stats: &StatValues, unix_ms: u64) -> Frame {
     let proc = tpn_obs::procinfo::sample();
-    let mut counters = vec![
-        stats.requests,
-        stats.computations,
-        stats.hits,
-        stats.misses,
-        stats.coalesced,
-        stats.evictions,
-        stats.sweeps,
-        stats.sweep_hits,
-        stats.sweep_compiles,
-        stats.sweep_points,
-        stats.optimizes,
-        stats.optimize_hits,
-        stats.optimize_solves,
-        stats.optimize_certified,
-        stats.whatifs,
-        stats.whatif_perturbations,
-        stats.whatif_hits,
-        stats.whatif_retimes,
-        stats.whatif_rejects,
-        stats.v1_envelopes,
-        stats.session_hits,
-        stats.session_misses,
-        stats.session_evictions,
-    ];
-    debug_assert_eq!(counters.len(), SERVICE_COUNTERS.len());
-    for (i, _) in ENDPOINTS.iter().enumerate() {
-        counters.push(metrics.errors_5xx(i));
-    }
+    let mut counters: Vec<u64> = ring_rows(Kind::Counter)
+        .map(|row| stats[row.stat])
+        .collect();
+    counters.extend((0..ENDPOINTS.len()).map(|i| metrics.errors_5xx(i)));
+    let mut gauges: Vec<f64> = ring_rows(Kind::Gauge)
+        .map(|row| stats[row.stat] as f64)
+        .collect();
+    gauges.extend([proc.rss_bytes, proc.open_fds, proc.threads].map(|v| v as f64));
     Frame {
         unix_ms,
         counters,
-        gauges: vec![
-            stats.entries as f64,
-            stats.bytes as f64,
-            stats.session_entries as f64,
-            proc.rss_bytes as f64,
-            proc.open_fds as f64,
-            proc.threads as f64,
-        ],
+        gauges,
         hists: ENDPOINTS
             .iter()
             .map(|e| metrics.duration_snapshot(*e))
@@ -399,12 +368,10 @@ mod tests {
     }
 
     fn frame_at(metrics: &ServiceMetrics, requests: u64, ts: u64) -> Frame {
-        let stats = StatsSnapshot {
-            requests,
-            hits: requests / 2,
-            misses: requests - requests / 2,
-            ..StatsSnapshot::default()
-        };
+        let mut stats = StatValues::default();
+        stats[Stat::Requests] = requests;
+        stats[Stat::Hits] = requests / 2;
+        stats[Stat::Misses] = requests - requests / 2;
         collect_frame(metrics, &stats, ts)
     }
 

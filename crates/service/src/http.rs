@@ -66,7 +66,8 @@ use crate::executor::ThreadPool;
 use crate::history;
 use crate::json::{error_body, error_object, JsonWriter};
 use crate::metrics::{
-    self, ConnStats, Endpoint, RequestTrace, ServiceMetrics, SlowTrace, StatsSnapshot, ENDPOINTS,
+    self, ConnStats, Endpoint, MetricsExtras, RequestTrace, ServiceMetrics, SlowTrace, Stat,
+    StatValues, ENDPOINTS, STATS, STAT_COUNT,
 };
 use crate::sessions::SessionCache;
 use crate::slo::{self, SloConfig};
@@ -269,21 +270,10 @@ pub struct Service {
     cache: AnalysisCache,
     sessions: SessionCache,
     config: ServiceConfig,
-    requests: AtomicU64,
-    v1_envelopes: AtomicU64,
-    sweeps: AtomicU64,
-    sweep_hits: AtomicU64,
-    sweep_compiles: AtomicU64,
-    sweep_points: AtomicU64,
-    optimizes: AtomicU64,
-    optimize_hits: AtomicU64,
-    optimize_solves: AtomicU64,
-    optimize_certified: AtomicU64,
-    whatifs: AtomicU64,
-    whatif_perturbations: AtomicU64,
-    whatif_hits: AtomicU64,
-    whatif_retimes: AtomicU64,
-    whatif_rejects: AtomicU64,
+    /// The [`STATS`](metrics::STATS) counters the service itself
+    /// owns, indexed by [`Stat`]; rows read from the caches, the
+    /// listener or the config are never bumped here.
+    counters: [AtomicU64; STAT_COUNT],
     metrics: ServiceMetrics,
     log: Option<RequestLog>,
     started: Instant,
@@ -364,21 +354,7 @@ impl Service {
             cache: AnalysisCache::new(&config.cache),
             sessions: SessionCache::new(config.max_sessions, config.session_options()),
             config,
-            requests: AtomicU64::new(0),
-            v1_envelopes: AtomicU64::new(0),
-            sweeps: AtomicU64::new(0),
-            sweep_hits: AtomicU64::new(0),
-            sweep_compiles: AtomicU64::new(0),
-            sweep_points: AtomicU64::new(0),
-            optimizes: AtomicU64::new(0),
-            optimize_hits: AtomicU64::new(0),
-            optimize_solves: AtomicU64::new(0),
-            optimize_certified: AtomicU64::new(0),
-            whatifs: AtomicU64::new(0),
-            whatif_perturbations: AtomicU64::new(0),
-            whatif_hits: AtomicU64::new(0),
-            whatif_retimes: AtomicU64::new(0),
-            whatif_rejects: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             metrics,
             log,
             started: Instant::now(),
@@ -512,7 +488,7 @@ impl Service {
     /// out the cached `Arc` so the hot path never clones the body.
     pub fn respond(&self, kind: RequestKind, body: &str) -> (u16, Arc<String>) {
         self.observed(Endpoint::of_kind(kind), || {
-            self.requests.fetch_add(1, Ordering::Relaxed);
+            self.bump(Stat::Requests);
             legacy_reply(
                 self.parse_session(body)
                     .and_then(|session| self.analysis_cached(&session, kind)),
@@ -527,8 +503,7 @@ impl Service {
     /// body for every kind (exactly what per-kind [`Service::respond`]
     /// calls would have produced).
     pub fn respond_many(&self, kinds: &[RequestKind], body: &str) -> Vec<(u16, Arc<String>)> {
-        self.requests
-            .fetch_add(kinds.len() as u64, Ordering::Relaxed);
+        self.add(Stat::Requests, kinds.len() as u64);
         match self.parse_session(body) {
             Ok(session) => kinds
                 .iter()
@@ -573,8 +548,8 @@ impl Service {
         use crate::sweep::SweepSpec;
 
         self.observed(Endpoint::Sweep, || {
-            self.requests.fetch_add(1, Ordering::Relaxed);
-            self.sweeps.fetch_add(1, Ordering::Relaxed);
+            self.bump(Stat::Requests);
+            self.bump(Stat::Sweeps);
             legacy_reply(
                 parse_spec_body(body, SweepSpec::from_json)
                     .and_then(|(net, spec)| self.sweep_cached(&self.session_for(net), &spec)),
@@ -602,8 +577,8 @@ impl Service {
         let result = self.cache.get_or_compute(key, || {
             computed.store(true, Ordering::Relaxed);
             let (body, points) = sweep_json(session, spec)?;
-            self.sweep_compiles.fetch_add(1, Ordering::Relaxed);
-            self.sweep_points.fetch_add(points, Ordering::Relaxed);
+            self.bump(Stat::SweepCompiles);
+            self.add(Stat::SweepPoints, points);
             Ok(body)
         });
         if result.is_ok() && !computed.load(Ordering::Relaxed) {
@@ -612,7 +587,7 @@ impl Service {
             // this request. Errors are deliberately not counted: a
             // follower coalesced onto a failing leader got a 4xx, not a
             // hit.
-            self.sweep_hits.fetch_add(1, Ordering::Relaxed);
+            self.bump(Stat::SweepHits);
         }
         result
     }
@@ -626,8 +601,8 @@ impl Service {
         use crate::optimize::OptimizeSpec;
 
         self.observed(Endpoint::Optimize, || {
-            self.requests.fetch_add(1, Ordering::Relaxed);
-            self.optimizes.fetch_add(1, Ordering::Relaxed);
+            self.bump(Stat::Requests);
+            self.bump(Stat::Optimizes);
             legacy_reply(
                 parse_spec_body(body, OptimizeSpec::from_json)
                     .and_then(|(net, spec)| self.optimize_cached(&self.session_for(net), &spec)),
@@ -654,16 +629,16 @@ impl Service {
         let result = self.cache.get_or_compute(key, || {
             computed.store(true, Ordering::Relaxed);
             let (body, certified) = optimize_json(session, spec)?;
-            self.optimize_solves.fetch_add(1, Ordering::Relaxed);
+            self.bump(Stat::OptimizeSolves);
             if certified {
-                self.optimize_certified.fetch_add(1, Ordering::Relaxed);
+                self.bump(Stat::OptimizeCertified);
             }
             Ok(body)
         });
         if result.is_ok() && !computed.load(Ordering::Relaxed) {
             // See sweep_cached: cache hit or successful coalescing,
             // never an error follower.
-            self.optimize_hits.fetch_add(1, Ordering::Relaxed);
+            self.bump(Stat::OptimizeHits);
         }
         result
     }
@@ -674,8 +649,8 @@ impl Service {
     /// `{"code": …, "message": …}` object.
     pub fn respond_whatif(&self, body: &str) -> (u16, Arc<String>) {
         self.observed(Endpoint::Whatif, || {
-            self.requests.fetch_add(1, Ordering::Relaxed);
-            self.whatifs.fetch_add(1, Ordering::Relaxed);
+            self.bump(Stat::Requests);
+            self.bump(Stat::Whatifs);
             match parse_spec_body(body, WhatifSpec::from_json) {
                 Ok((net, spec)) => (200, self.whatif_cached(&self.session_for(net), &spec)),
                 Err(e) => (e.status(), Arc::new(error_object(e.code(), e.message()))),
@@ -688,8 +663,8 @@ impl Service {
     /// byte-identical to the HTTP endpoint's.
     pub fn respond_whatif_spec(&self, net: TimedPetriNet, spec: &WhatifSpec) -> Arc<String> {
         let (_, body) = self.observed(Endpoint::Whatif, || {
-            self.requests.fetch_add(1, Ordering::Relaxed);
-            self.whatifs.fetch_add(1, Ordering::Relaxed);
+            self.bump(Stat::Requests);
+            self.bump(Stat::Whatifs);
             (200, self.whatif_cached(&self.session_for(net), spec))
         });
         body
@@ -726,7 +701,7 @@ impl Service {
         w.key("perturbations");
         w.begin_array();
         for delta in &spec.perturbations {
-            self.whatif_perturbations.fetch_add(1, Ordering::Relaxed);
+            self.bump(Stat::WhatifPerturbations);
             w.begin_object();
             w.key("perturbation");
             w.begin_object();
@@ -743,7 +718,7 @@ impl Service {
                     w.raw(&body);
                 }
                 Err(e) => {
-                    self.whatif_rejects.fetch_add(1, Ordering::Relaxed);
+                    self.bump(Stat::WhatifRejects);
                     w.key("status");
                     w.uint(u64::from(e.status()));
                     w.key("error");
@@ -797,7 +772,7 @@ impl Service {
                     RetimeError::OutOfRegion(m) => ServiceError::OutOfRegion(m),
                     RetimeError::Pipeline(e) => ServiceError::Analysis(e.to_string()),
                 })?;
-                self.whatif_retimes.fetch_add(1, Ordering::Relaxed);
+                self.bump(Stat::WhatifRetimes);
                 Ok::<_, ServiceError>(retimed)
             })?;
             let mut w = JsonWriter::new();
@@ -826,7 +801,7 @@ impl Service {
         if result.is_ok() && !computed.load(Ordering::Relaxed) {
             // See sweep_cached: cache hit or successful coalescing,
             // never an error follower.
-            self.whatif_hits.fetch_add(1, Ordering::Relaxed);
+            self.bump(Stat::WhatifHits);
         }
         result
     }
@@ -848,8 +823,8 @@ impl Service {
     /// (every sub-request's pipeline work; the final render necessarily
     /// falls outside its own recording).
     fn v1_reply(&self, body: &str) -> (u16, Arc<String>) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.v1_envelopes.fetch_add(1, Ordering::Relaxed);
+        self.bump(Stat::Requests);
+        self.bump(Stat::V1Envelopes);
         let fail = |e: ServiceError| (e.status(), Arc::new(error_object(e.code(), e.message())));
         let (net_text, requests, trace) = {
             let _span = tpn_obs::trace::span("parse");
@@ -862,8 +837,7 @@ impl Service {
         // envelope of N sub-requests reports like N legacy calls would
         // (the entry tick above covered the first; a malformed envelope
         // stays a single request).
-        self.requests
-            .fetch_add(requests.len() as u64 - 1, Ordering::Relaxed);
+        self.add(Stat::Requests, requests.len() as u64 - 1);
         let net = {
             let _span = tpn_obs::trace::span("parse");
             match parse_tpn(&net_text) {
@@ -886,15 +860,15 @@ impl Service {
             let result = match request {
                 V1Request::Analysis(kind) => self.analysis_cached(&session, *kind),
                 V1Request::Sweep(spec) => {
-                    self.sweeps.fetch_add(1, Ordering::Relaxed);
+                    self.bump(Stat::Sweeps);
                     self.sweep_cached(&session, spec)
                 }
                 V1Request::Optimize(spec) => {
-                    self.optimizes.fetch_add(1, Ordering::Relaxed);
+                    self.bump(Stat::Optimizes);
                     self.optimize_cached(&session, spec)
                 }
                 V1Request::Whatif(spec) => {
-                    self.whatifs.fetch_add(1, Ordering::Relaxed);
+                    self.bump(Stat::Whatifs);
                     Ok(self.whatif_cached(&session, spec))
                 }
             };
@@ -922,67 +896,11 @@ impl Service {
 
     /// The `/stats` document: request/cache counters plus pool sizing.
     pub fn stats_json(&self) -> String {
-        let s = self.cache.stats();
+        let stats = self.stat_values();
+        let rows = |from: Stat, to: Stat| &STATS[from as usize..to as usize];
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.key("requests");
-        w.uint(self.requests.load(Ordering::Relaxed));
-        w.key("computations");
-        w.uint(s.computations);
-        w.key("hits");
-        w.uint(s.hits);
-        w.key("misses");
-        w.uint(s.misses);
-        w.key("coalesced");
-        w.uint(s.coalesced);
-        w.key("evictions");
-        w.uint(s.evictions);
-        w.key("entries");
-        w.uint(s.entries as u64);
-        w.key("bytes");
-        w.uint(s.bytes as u64);
-        w.key("sweeps");
-        w.uint(self.sweeps.load(Ordering::Relaxed));
-        w.key("sweep_hits");
-        w.uint(self.sweep_hits.load(Ordering::Relaxed));
-        w.key("sweep_compiles");
-        w.uint(self.sweep_compiles.load(Ordering::Relaxed));
-        w.key("sweep_points");
-        w.uint(self.sweep_points.load(Ordering::Relaxed));
-        w.key("optimizes");
-        w.uint(self.optimizes.load(Ordering::Relaxed));
-        w.key("optimize_hits");
-        w.uint(self.optimize_hits.load(Ordering::Relaxed));
-        w.key("optimize_solves");
-        w.uint(self.optimize_solves.load(Ordering::Relaxed));
-        w.key("optimize_certified");
-        w.uint(self.optimize_certified.load(Ordering::Relaxed));
-        w.key("whatifs");
-        w.uint(self.whatifs.load(Ordering::Relaxed));
-        w.key("whatif_perturbations");
-        w.uint(self.whatif_perturbations.load(Ordering::Relaxed));
-        w.key("whatif_hits");
-        w.uint(self.whatif_hits.load(Ordering::Relaxed));
-        w.key("whatif_retimes");
-        w.uint(self.whatif_retimes.load(Ordering::Relaxed));
-        w.key("whatif_rejects");
-        w.uint(self.whatif_rejects.load(Ordering::Relaxed));
-        w.key("v1_envelopes");
-        w.uint(self.v1_envelopes.load(Ordering::Relaxed));
-        // The session (artifact) tier: how many sessions are live and
-        // how often requests found one.
-        let sess = self.sessions.stats();
-        w.key("sessions");
-        w.begin_object();
-        w.key("entries");
-        w.uint(sess.sessions as u64);
-        w.key("hits");
-        w.uint(sess.hits);
-        w.key("misses");
-        w.uint(sess.misses);
-        w.key("evictions");
-        w.uint(sess.evictions);
-        w.end_object();
+        metrics::write_stats(&mut w, &stats, rows(Stat::Requests, Stat::Threads));
         // Per-stage artifact counters, aggregated over every session
         // this service created — the observable form of "a /sweep after
         // an /analyze reuses the TRG".
@@ -1002,13 +920,11 @@ impl Service {
             w.end_object();
         }
         w.end_object();
-        w.key("threads");
-        w.uint(self.config.threads as u64);
-        w.key("queue_cap");
-        w.uint(self.config.queue_cap as u64);
-        // Process identity and resource gauges, appended last so the
-        // document stays a byte-stable extension of its pre-retention
-        // shape (the golden-capture test compares the prefix).
+        metrics::write_stats(&mut w, &stats, rows(Stat::Threads, Stat::ConnOpen));
+        // Process identity and resource gauges, appended after the
+        // pool sizing so the document stays a byte-stable extension of
+        // its pre-retention shape (the golden-capture test compares
+        // the prefix).
         let proc = tpn_obs::procinfo::sample();
         w.key("process");
         w.begin_object();
@@ -1025,24 +941,9 @@ impl Service {
         w.key("os_threads");
         w.uint(proc.threads);
         w.end_object();
-        // Listener connection counters, appended after `process` so
-        // the document stays a byte-stable extension (the golden
-        // prefix *and* the `,"process":{"version":…` tail anchor both
-        // survive).
-        let conn = self.conn.scalars();
-        w.key("connections");
-        w.begin_object();
-        w.key("open");
-        w.uint(conn.open);
-        w.key("accepted");
-        w.uint(conn.accepted);
-        w.key("rejected");
-        w.uint(conn.rejected);
-        w.key("timeouts");
-        w.uint(conn.timeouts);
-        w.key("drained");
-        w.uint(conn.drained);
-        w.end_object();
+        // Listener connection counters last, so the golden prefix *and*
+        // the `,"process":{"version":…` tail anchor both survive.
+        metrics::write_stats(&mut w, &stats, &STATS[Stat::ConnOpen as usize..]);
         w.end_object();
         w.finish()
     }
@@ -1132,7 +1033,7 @@ impl Service {
 
     /// A frame of the live counters, as the sampler would push it.
     fn current_frame(&self) -> tpn_obs::series::Frame {
-        history::collect_frame(&self.metrics, &self.stats_snapshot(), tpn_obs::unix_ms())
+        history::collect_frame(&self.metrics, &self.stat_values(), tpn_obs::unix_ms())
     }
 
     /// Push one retention-ring frame now and tick the alert evaluator
@@ -1176,51 +1077,45 @@ impl Service {
         &self.ring
     }
 
-    /// Every `/stats` number, snapshotted for rendering.
-    fn stats_snapshot(&self) -> StatsSnapshot {
-        let s = self.cache.stats();
-        let sess = self.sessions.stats();
-        let (alerts_firing, alerts_pending) = {
-            let engine = self.alerts.lock().expect("alert engine lock");
-            (engine.firing_count(), engine.pending_count())
-        };
-        StatsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            computations: s.computations,
-            hits: s.hits,
-            misses: s.misses,
-            coalesced: s.coalesced,
-            evictions: s.evictions,
-            entries: s.entries as u64,
-            bytes: s.bytes as u64,
-            sweeps: self.sweeps.load(Ordering::Relaxed),
-            sweep_hits: self.sweep_hits.load(Ordering::Relaxed),
-            sweep_compiles: self.sweep_compiles.load(Ordering::Relaxed),
-            sweep_points: self.sweep_points.load(Ordering::Relaxed),
-            optimizes: self.optimizes.load(Ordering::Relaxed),
-            optimize_hits: self.optimize_hits.load(Ordering::Relaxed),
-            optimize_solves: self.optimize_solves.load(Ordering::Relaxed),
-            optimize_certified: self.optimize_certified.load(Ordering::Relaxed),
-            whatifs: self.whatifs.load(Ordering::Relaxed),
-            whatif_perturbations: self.whatif_perturbations.load(Ordering::Relaxed),
-            whatif_hits: self.whatif_hits.load(Ordering::Relaxed),
-            whatif_retimes: self.whatif_retimes.load(Ordering::Relaxed),
-            whatif_rejects: self.whatif_rejects.load(Ordering::Relaxed),
-            v1_envelopes: self.v1_envelopes.load(Ordering::Relaxed),
-            session_entries: sess.sessions as u64,
-            session_hits: sess.hits,
-            session_misses: sess.misses,
-            session_evictions: sess.evictions,
-            threads: self.config.threads as u64,
-            queue_cap: self.config.queue_cap as u64,
-            uptime_seconds: self.started.elapsed().as_secs_f64(),
-            start_time_seconds: self.start_unix_ms as f64 / 1_000.0,
-            alerts_firing,
-            alerts_pending,
-            notifications_sent: self.notify.sent.load(Ordering::Relaxed),
-            notifications_dropped: self.notify.dropped.load(Ordering::Relaxed),
-            notifications_failed: self.notify.failed.load(Ordering::Relaxed),
-        }
+    /// Count one event on a service-owned [`STATS`] row.
+    fn bump(&self, stat: Stat) {
+        self.add(stat, 1);
+    }
+
+    /// Count `n` events on a service-owned [`STATS`] row.
+    fn add(&self, stat: Stat, n: u64) {
+        self.counters[stat as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Read every [`STATS`] row: the service's own counters, the body
+    /// and session cache statistics, the pool sizing and the listener
+    /// connection counters.
+    fn stat_values(&self) -> StatValues {
+        let mut v = StatValues(std::array::from_fn(|i| {
+            self.counters[i].load(Ordering::Relaxed)
+        }));
+        let cache = self.cache.stats();
+        v[Stat::Computations] = cache.computations;
+        v[Stat::Hits] = cache.hits;
+        v[Stat::Misses] = cache.misses;
+        v[Stat::Coalesced] = cache.coalesced;
+        v[Stat::Evictions] = cache.evictions;
+        v[Stat::Entries] = cache.entries as u64;
+        v[Stat::Bytes] = cache.bytes as u64;
+        let sessions = self.sessions.stats();
+        v[Stat::SessionEntries] = sessions.sessions as u64;
+        v[Stat::SessionHits] = sessions.hits;
+        v[Stat::SessionMisses] = sessions.misses;
+        v[Stat::SessionEvictions] = sessions.evictions;
+        v[Stat::Threads] = self.config.threads as u64;
+        v[Stat::QueueCap] = self.config.queue_cap as u64;
+        let conn = self.conn.scalars();
+        v[Stat::ConnOpen] = conn.open;
+        v[Stat::ConnAccepted] = conn.accepted;
+        v[Stat::ConnRejected] = conn.rejected;
+        v[Stat::ConnTimeouts] = conn.timeouts;
+        v[Stat::ConnDrained] = conn.drained;
+        v
     }
 
     /// The `/metrics` document: Prometheus text exposition covering
@@ -1228,9 +1123,22 @@ impl Service {
     /// histograms. Available even with metrics recording disabled (the
     /// request families are simply empty).
     pub fn metrics_text(&self) -> String {
+        let (alerts_firing, alerts_pending) = {
+            let engine = self.alerts.lock().expect("alert engine lock");
+            (engine.firing_count(), engine.pending_count())
+        };
+        let extras = MetricsExtras {
+            uptime_seconds: self.started.elapsed().as_secs_f64(),
+            start_time_seconds: self.start_unix_ms as f64 / 1_000.0,
+            alerts_firing,
+            alerts_pending,
+            notifications: [&self.notify.sent, &self.notify.dropped, &self.notify.failed]
+                .map(|n| n.load(Ordering::Relaxed)),
+        };
         metrics::render(
             &self.metrics,
-            &self.stats_snapshot(),
+            &self.stat_values(),
+            &extras,
             self.sessions.counters(),
             &self.conn,
         )

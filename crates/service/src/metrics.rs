@@ -14,9 +14,12 @@
 //! `render` (crate-private) is the reading half: it assembles the whole exposition
 //! document in one fixed order (build info, uptime, request counters,
 //! request-duration histograms, per-stage build histograms, then
-//! every `/stats` counter as a `tpn_*` family), so a fixed counter
+//! every `/stats` scalar as a `tpn_*` family), so a fixed counter
 //! state renders byte-identically and the output is checkable by
 //! `tpn_obs::validate`.
+//!
+//! [`STATS`] is the one table of those scalars: `/stats`, `/metrics`
+//! and the retention-ring columns are all rendered from it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -491,45 +494,282 @@ impl ConnStats {
     }
 }
 
-/// Every `/stats` number, copied out for rendering — the bridge
-/// between the service's private counters and [`render`].
+/// Where a table row sits in the `/stats` document: at the top level
+/// or inside one of its nested objects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Group {
+    Top,
+    Sessions,
+    Connections,
+}
+
+impl Group {
+    /// The nested object's key (`None` for the top level).
+    fn key(self) -> Option<&'static str> {
+        match self {
+            Group::Top => None,
+            Group::Sessions => Some("sessions"),
+            Group::Connections => Some("connections"),
+        }
+    }
+}
+
+/// A table row's Prometheus type; retention-ring rows become counter
+/// or gauge columns accordingly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    Counter,
+    Gauge,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+        }
+    }
+}
+
+/// Every scalar the service reports, in `/stats` order — the index
+/// into [`STATS`] and into a [`StatValues`] reading.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stat {
+    Requests,
+    Computations,
+    Hits,
+    Misses,
+    Coalesced,
+    Evictions,
+    Entries,
+    Bytes,
+    Sweeps,
+    SweepHits,
+    SweepCompiles,
+    SweepPoints,
+    Optimizes,
+    OptimizeHits,
+    OptimizeSolves,
+    OptimizeCertified,
+    Whatifs,
+    WhatifPerturbations,
+    WhatifHits,
+    WhatifRetimes,
+    WhatifRejects,
+    V1Envelopes,
+    SessionEntries,
+    SessionHits,
+    SessionMisses,
+    SessionEvictions,
+    Threads,
+    QueueCap,
+    ConnOpen,
+    ConnAccepted,
+    ConnRejected,
+    ConnTimeouts,
+    ConnDrained,
+}
+
+/// Number of rows in [`STATS`].
+pub(crate) const STAT_COUNT: usize = Stat::ConnDrained as usize + 1;
+
+/// One scalar's identity on every surface that reports it.
+#[derive(Debug)]
+pub(crate) struct StatRow {
+    pub stat: Stat,
+    pub group: Group,
+    pub kind: Kind,
+    /// The key inside the row's `/stats` group.
+    pub key: &'static str,
+    /// The Prometheus family name on `/metrics`.
+    pub family: &'static str,
+    /// The retention-ring column, if the ring carries the row.
+    pub ring: Option<&'static str>,
+    /// The `/metrics` HELP text.
+    pub help: &'static str,
+}
+
+/// How a table row names its retention-ring column.
+pub(crate) enum Ring {
+    /// The ring does not carry the row.
+    Absent,
+    /// The column is named like the row's `/stats` key.
+    AsKey,
+    /// The column has its own name.
+    Named(&'static str),
+}
+
+const fn row(
+    stat: Stat,
+    group: Group,
+    kind: Kind,
+    key: &'static str,
+    family: &'static str,
+    ring: Ring,
+    help: &'static str,
+) -> StatRow {
+    let ring = match ring {
+        Ring::Absent => None,
+        Ring::AsKey => Some(key),
+        Ring::Named(name) => Some(name),
+    };
+    StatRow {
+        stat,
+        group,
+        kind,
+        key,
+        family,
+        ring,
+        help,
+    }
+}
+
+/// The one list of service scalars, in `/stats` order. Every surface
+/// renders from it:
+///
+/// - `/stats` walks it in order, nesting each group's rows under the
+///   group key (the per-stage `artifacts` and the `process` object are
+///   hand-written between slices of it);
+/// - `/metrics` renders the non-connection counters, then their
+///   gauges, then the connection rows, each as one `tpn_*` family;
+/// - the retention ring carries the rows with a ring column, counters
+///   then gauges, in table order.
+///
+/// A new counter is one row here plus its increment (or its read in
+/// `Service::stat_values`).
+#[rustfmt::skip]
+pub(crate) const STATS: [StatRow; STAT_COUNT] = {
+    use Group::*;
+    use Kind::*;
+    use Ring::*;
+    use Stat::*;
+    [
+        row(Requests, Top, Counter, "requests", "tpn_service_requests_total", AsKey,
+            "Analysis requests accepted across all surfaces (the /stats \"requests\" counter)."),
+        row(Computations, Top, Counter, "computations", "tpn_cache_computations_total", AsKey,
+            "Body-cache misses that ran a computation."),
+        row(Hits, Top, Counter, "hits", "tpn_cache_hits_total", AsKey,
+            "Body-cache hits."),
+        row(Misses, Top, Counter, "misses", "tpn_cache_misses_total", AsKey,
+            "Body-cache misses."),
+        row(Coalesced, Top, Counter, "coalesced", "tpn_cache_coalesced_total", AsKey,
+            "Requests that coalesced onto a concurrent identical computation."),
+        row(Evictions, Top, Counter, "evictions", "tpn_cache_evictions_total", AsKey,
+            "Body-cache evictions."),
+        row(Entries, Top, Gauge, "entries", "tpn_cache_entries", Named("cache_entries"),
+            "Live body-cache entries."),
+        row(Bytes, Top, Gauge, "bytes", "tpn_cache_bytes", Named("cache_bytes"),
+            "Bytes held by body-cache entries."),
+        row(Sweeps, Top, Counter, "sweeps", "tpn_sweeps_total", AsKey,
+            "Sweep requests."),
+        row(SweepHits, Top, Counter, "sweep_hits", "tpn_sweep_hits_total", AsKey,
+            "Sweep cache hits."),
+        row(SweepCompiles, Top, Counter, "sweep_compiles", "tpn_sweep_compiles_total", AsKey,
+            "Sweep grid evaluations actually run."),
+        row(SweepPoints, Top, Counter, "sweep_points", "tpn_sweep_points_total", AsKey,
+            "Grid points evaluated by sweeps."),
+        row(Optimizes, Top, Counter, "optimizes", "tpn_optimizes_total", AsKey,
+            "Optimize requests."),
+        row(OptimizeHits, Top, Counter, "optimize_hits", "tpn_optimize_hits_total", AsKey,
+            "Optimize cache hits."),
+        row(OptimizeSolves, Top, Counter, "optimize_solves", "tpn_optimize_solves_total", AsKey,
+            "Optimizer solves actually run."),
+        row(OptimizeCertified, Top, Counter, "optimize_certified", "tpn_optimize_certified_total", AsKey,
+            "Optimizer solves that produced a certificate."),
+        row(Whatifs, Top, Counter, "whatifs", "tpn_whatifs_total", AsKey,
+            "What-if batch requests."),
+        row(WhatifPerturbations, Top, Counter, "whatif_perturbations", "tpn_whatif_perturbations_total", AsKey,
+            "Individual what-if perturbations served."),
+        row(WhatifHits, Top, Counter, "whatif_hits", "tpn_whatif_hits_total", AsKey,
+            "What-if perturbations answered from the cache."),
+        row(WhatifRetimes, Top, Counter, "whatif_retimes", "tpn_whatif_retimes_total", AsKey,
+            "What-if perturbations that instantiated the re-timing template."),
+        row(WhatifRejects, Top, Counter, "whatif_rejects", "tpn_whatif_rejects_total", AsKey,
+            "What-if perturbations rejected (invalid or out of region)."),
+        row(V1Envelopes, Top, Counter, "v1_envelopes", "tpn_v1_envelopes_total", AsKey,
+            "POST /v1 envelopes served."),
+        row(SessionEntries, Sessions, Gauge, "entries", "tpn_sessions", Named("sessions"),
+            "Live sessions in the artifact tier."),
+        row(SessionHits, Sessions, Counter, "hits", "tpn_session_hits_total", Named("session_hits"),
+            "Artifact-tier lookups that found a live session."),
+        row(SessionMisses, Sessions, Counter, "misses", "tpn_session_misses_total", Named("session_misses"),
+            "Artifact-tier lookups that created a session."),
+        row(SessionEvictions, Sessions, Counter, "evictions", "tpn_session_evictions_total", Named("session_evictions"),
+            "Sessions evicted from the artifact tier."),
+        row(Threads, Top, Gauge, "threads", "tpn_threads", Absent,
+            "Configured worker threads."),
+        row(QueueCap, Top, Gauge, "queue_cap", "tpn_queue_cap", Absent,
+            "Configured connection queue capacity."),
+        row(ConnOpen, Connections, Gauge, "open", "tpn_connections_open", Absent,
+            "Connections currently open (accepted, not yet closed)."),
+        row(ConnAccepted, Connections, Counter, "accepted", "tpn_connections_accepted_total", Absent,
+            "Connections accepted since start."),
+        row(ConnRejected, Connections, Counter, "rejected", "tpn_connections_rejected_total", Absent,
+            "Connections refused at the hard connection cap."),
+        row(ConnTimeouts, Connections, Counter, "timeouts", "tpn_connection_timeouts_total", Absent,
+            "Connections closed by a read or write deadline."),
+        row(ConnDrained, Connections, Counter, "drained", "tpn_connections_drained_total", Absent,
+            "Connections closed by graceful drain at shutdown."),
+    ]
+};
+
+/// One reading of every [`STATS`] row, indexed by [`Stat`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StatValues(pub [u64; STAT_COUNT]);
+
+impl Default for StatValues {
+    fn default() -> StatValues {
+        StatValues([0; STAT_COUNT])
+    }
+}
+
+impl std::ops::Index<Stat> for StatValues {
+    type Output = u64;
+    fn index(&self, stat: Stat) -> &u64 {
+        &self.0[stat as usize]
+    }
+}
+
+impl std::ops::IndexMut<Stat> for StatValues {
+    fn index_mut(&mut self, stat: Stat) -> &mut u64 {
+        &mut self.0[stat as usize]
+    }
+}
+
+/// Write a slice of [`STATS`] as `/stats` members, opening each
+/// group's nested object when its first row comes up and closing it
+/// after its last.
+pub(crate) fn write_stats(w: &mut JsonWriter, values: &StatValues, rows: &[StatRow]) {
+    let mut group = Group::Top;
+    for row in rows {
+        if row.group != group {
+            if group != Group::Top {
+                w.end_object();
+            }
+            if let Some(key) = row.group.key() {
+                w.key(key);
+                w.begin_object();
+            }
+            group = row.group;
+        }
+        w.key(row.key);
+        w.uint(values[row.stat]);
+    }
+    if group != Group::Top {
+        w.end_object();
+    }
+}
+
+/// The `/metrics` numbers the table does not describe: process clock
+/// gauges and the alerting state.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct StatsSnapshot {
-    pub requests: u64,
-    pub computations: u64,
-    pub hits: u64,
-    pub misses: u64,
-    pub coalesced: u64,
-    pub evictions: u64,
-    pub entries: u64,
-    pub bytes: u64,
-    pub sweeps: u64,
-    pub sweep_hits: u64,
-    pub sweep_compiles: u64,
-    pub sweep_points: u64,
-    pub optimizes: u64,
-    pub optimize_hits: u64,
-    pub optimize_solves: u64,
-    pub optimize_certified: u64,
-    pub whatifs: u64,
-    pub whatif_perturbations: u64,
-    pub whatif_hits: u64,
-    pub whatif_retimes: u64,
-    pub whatif_rejects: u64,
-    pub v1_envelopes: u64,
-    pub session_entries: u64,
-    pub session_hits: u64,
-    pub session_misses: u64,
-    pub session_evictions: u64,
-    pub threads: u64,
-    pub queue_cap: u64,
+pub(crate) struct MetricsExtras {
     pub uptime_seconds: f64,
     pub start_time_seconds: f64,
     pub alerts_firing: u64,
     pub alerts_pending: u64,
-    pub notifications_sent: u64,
-    pub notifications_dropped: u64,
-    pub notifications_failed: u64,
+    /// Webhook notification outcomes: sent, dropped, failed.
+    pub notifications: [u64; 3],
 }
 
 /// Assemble the `GET /metrics` document. Families render in one fixed
@@ -543,7 +783,8 @@ pub(crate) struct StatsSnapshot {
 /// first scrape on.
 pub(crate) fn render(
     metrics: &ServiceMetrics,
-    stats: &StatsSnapshot,
+    stats: &StatValues,
+    extras: &MetricsExtras,
     stages: &StageCounters,
     conn: &ConnStats,
 ) -> String {
@@ -565,7 +806,7 @@ pub(crate) fn render(
         "Seconds since the service was constructed.",
         "gauge",
     );
-    r.sample_f64("tpn_process_uptime_seconds", &[], stats.uptime_seconds);
+    r.sample_f64("tpn_process_uptime_seconds", &[], extras.uptime_seconds);
 
     r.header(
         "tpn_process_start_time_seconds",
@@ -575,7 +816,7 @@ pub(crate) fn render(
     r.sample_f64(
         "tpn_process_start_time_seconds",
         &[],
-        stats.start_time_seconds,
+        extras.start_time_seconds,
     );
 
     r.header(
@@ -628,117 +869,12 @@ pub(crate) fn render(
         );
     }
 
-    let counters: [(&str, &str, u64); 18] = [
-        (
-            "tpn_service_requests_total",
-            "Analysis requests accepted across all surfaces (the /stats \"requests\" counter).",
-            stats.requests,
-        ),
-        (
-            "tpn_cache_computations_total",
-            "Body-cache misses that ran a computation.",
-            stats.computations,
-        ),
-        ("tpn_cache_hits_total", "Body-cache hits.", stats.hits),
-        ("tpn_cache_misses_total", "Body-cache misses.", stats.misses),
-        (
-            "tpn_cache_coalesced_total",
-            "Requests that coalesced onto a concurrent identical computation.",
-            stats.coalesced,
-        ),
-        (
-            "tpn_cache_evictions_total",
-            "Body-cache evictions.",
-            stats.evictions,
-        ),
-        ("tpn_sweeps_total", "Sweep requests.", stats.sweeps),
-        (
-            "tpn_sweep_hits_total",
-            "Sweep cache hits.",
-            stats.sweep_hits,
-        ),
-        (
-            "tpn_sweep_compiles_total",
-            "Sweep grid evaluations actually run.",
-            stats.sweep_compiles,
-        ),
-        (
-            "tpn_sweep_points_total",
-            "Grid points evaluated by sweeps.",
-            stats.sweep_points,
-        ),
-        ("tpn_optimizes_total", "Optimize requests.", stats.optimizes),
-        (
-            "tpn_optimize_hits_total",
-            "Optimize cache hits.",
-            stats.optimize_hits,
-        ),
-        (
-            "tpn_optimize_solves_total",
-            "Optimizer solves actually run.",
-            stats.optimize_solves,
-        ),
-        (
-            "tpn_optimize_certified_total",
-            "Optimizer solves that produced a certificate.",
-            stats.optimize_certified,
-        ),
-        (
-            "tpn_whatifs_total",
-            "What-if batch requests.",
-            stats.whatifs,
-        ),
-        (
-            "tpn_whatif_perturbations_total",
-            "Individual what-if perturbations served.",
-            stats.whatif_perturbations,
-        ),
-        (
-            "tpn_whatif_hits_total",
-            "What-if perturbations answered from the cache.",
-            stats.whatif_hits,
-        ),
-        (
-            "tpn_whatif_retimes_total",
-            "What-if perturbations that instantiated the re-timing template.",
-            stats.whatif_retimes,
-        ),
-    ];
-    for (name, help, value) in counters {
-        r.header(name, help, "counter");
-        r.sample_u64(name, &[], value);
-    }
-    let more_counters: [(&str, &str, u64); 5] = [
-        (
-            "tpn_whatif_rejects_total",
-            "What-if perturbations rejected (invalid or out of region).",
-            stats.whatif_rejects,
-        ),
-        (
-            "tpn_v1_envelopes_total",
-            "POST /v1 envelopes served.",
-            stats.v1_envelopes,
-        ),
-        (
-            "tpn_session_hits_total",
-            "Artifact-tier lookups that found a live session.",
-            stats.session_hits,
-        ),
-        (
-            "tpn_session_misses_total",
-            "Artifact-tier lookups that created a session.",
-            stats.session_misses,
-        ),
-        (
-            "tpn_session_evictions_total",
-            "Sessions evicted from the artifact tier.",
-            stats.session_evictions,
-        ),
-    ];
-    for (name, help, value) in more_counters {
-        r.header(name, help, "counter");
-        r.sample_u64(name, &[], value);
-    }
+    // The table's service and session rows: counters, then (after
+    // the artifact demands) gauges.
+    let service_row = |row: &StatRow| row.group != Group::Connections;
+    render_rows(&mut r, stats, |row| {
+        service_row(row) && row.kind == Kind::Counter
+    });
 
     r.header(
         "tpn_artifact_demands_total",
@@ -760,47 +896,23 @@ pub(crate) fn render(
         }
     }
 
-    let gauges: [(&str, &str, u64); 5] = [
-        (
-            "tpn_cache_entries",
-            "Live body-cache entries.",
-            stats.entries,
-        ),
-        (
-            "tpn_cache_bytes",
-            "Bytes held by body-cache entries.",
-            stats.bytes,
-        ),
-        (
-            "tpn_sessions",
-            "Live sessions in the artifact tier.",
-            stats.session_entries,
-        ),
-        ("tpn_threads", "Configured worker threads.", stats.threads),
-        (
-            "tpn_queue_cap",
-            "Configured connection queue capacity.",
-            stats.queue_cap,
-        ),
-    ];
-    for (name, help, value) in gauges {
-        r.header(name, help, "gauge");
-        r.sample_u64(name, &[], value);
-    }
+    render_rows(&mut r, stats, |row| {
+        service_row(row) && row.kind == Kind::Gauge
+    });
 
     r.header(
         "tpn_alerts_firing",
         "Alert rules currently in the firing state.",
         "gauge",
     );
-    r.sample_u64("tpn_alerts_firing", &[], stats.alerts_firing);
+    r.sample_u64("tpn_alerts_firing", &[], extras.alerts_firing);
 
     r.header(
         "tpn_alerts_pending",
         "Alert rules currently waiting out their for-duration.",
         "gauge",
     );
-    r.sample_u64("tpn_alerts_pending", &[], stats.alerts_pending);
+    r.sample_u64("tpn_alerts_pending", &[], extras.alerts_pending);
 
     r.header(
         "tpn_alert_notifications_total",
@@ -810,11 +922,10 @@ pub(crate) fn render(
     // All three label values always render (even at zero) so the
     // family's series set — and thus the document bytes — never
     // depends on notifier activity.
-    for (result, value) in [
-        ("sent", stats.notifications_sent),
-        ("dropped", stats.notifications_dropped),
-        ("failed", stats.notifications_failed),
-    ] {
+    for (result, value) in ["sent", "dropped", "failed"]
+        .into_iter()
+        .zip(extras.notifications)
+    {
         r.sample_u64(
             "tpn_alert_notifications_total",
             &[("result", result)],
@@ -825,40 +936,7 @@ pub(crate) fn render(
     // Connection families come last: the alert tests pin the ordered
     // run of needles ending at tpn_alert_notifications_total, so new
     // families must append after it.
-    let conn_scalars = conn.scalars();
-    r.header(
-        "tpn_connections_open",
-        "Connections currently open (accepted, not yet closed).",
-        "gauge",
-    );
-    r.sample_u64("tpn_connections_open", &[], conn_scalars.open);
-
-    let conn_counters: [(&str, &str, u64); 4] = [
-        (
-            "tpn_connections_accepted_total",
-            "Connections accepted since start.",
-            conn_scalars.accepted,
-        ),
-        (
-            "tpn_connections_rejected_total",
-            "Connections refused at the hard connection cap.",
-            conn_scalars.rejected,
-        ),
-        (
-            "tpn_connection_timeouts_total",
-            "Connections closed by a read or write deadline.",
-            conn_scalars.timeouts,
-        ),
-        (
-            "tpn_connections_drained_total",
-            "Connections closed by graceful drain at shutdown.",
-            conn_scalars.drained,
-        ),
-    ];
-    for (name, help, value) in conn_counters {
-        r.header(name, help, "counter");
-        r.sample_u64(name, &[], value);
-    }
+    render_rows(&mut r, stats, |row| !service_row(row));
 
     r.header(
         "tpn_connection_lifetime_seconds",
@@ -868,6 +946,15 @@ pub(crate) fn render(
     r.histogram("tpn_connection_lifetime_seconds", &[], &conn.lifetime());
 
     r.finish()
+}
+
+/// Render the [`STATS`] rows `pick` selects, in table order, one
+/// unlabelled family each.
+fn render_rows(r: &mut Renderer, stats: &StatValues, pick: impl Fn(&StatRow) -> bool) {
+    for row in STATS.iter().filter(|row| pick(row)) {
+        r.header(row.family, row.help, row.kind.name());
+        r.sample_u64(row.family, &[], stats[row.stat]);
+    }
 }
 
 /// Render one request trace as a single NDJSON line (no trailing
@@ -983,6 +1070,27 @@ mod tests {
     }
 
     #[test]
+    fn stat_table_rows_sit_at_their_index_with_unique_names() {
+        let mut families = std::collections::HashSet::new();
+        let mut rings = std::collections::HashSet::new();
+        let mut keys = std::collections::HashSet::new();
+        for (i, row) in STATS.iter().enumerate() {
+            assert_eq!(row.stat as usize, i, "{} out of place", row.key);
+            assert!(families.insert(row.family), "duplicate {}", row.family);
+            assert!(
+                keys.insert((row.group.key(), row.key)),
+                "duplicate {}",
+                row.key
+            );
+            if let Some(ring) = row.ring {
+                assert!(rings.insert(ring), "duplicate ring column {ring}");
+            }
+            let suffix = row.family.ends_with("_total");
+            assert_eq!(suffix, row.kind == Kind::Counter, "{}", row.family);
+        }
+    }
+
+    #[test]
     fn status_slots_cover_every_emitted_code() {
         for (i, &s) in STATUSES.iter().enumerate() {
             assert_eq!(status_index(s), i);
@@ -1000,15 +1108,17 @@ mod tests {
         m.record(Endpoint::Analyze, 422, 40_000);
         m.record(Endpoint::Sweep, 200, 3_000_000);
         let stages = StageCounters::new();
-        let stats = StatsSnapshot {
-            requests: 4,
+        let mut stats = StatValues::default();
+        stats[Stat::Requests] = 4;
+        stats[Stat::ConnAccepted] = 1;
+        let extras = MetricsExtras {
             uptime_seconds: 1.25,
-            ..StatsSnapshot::default()
+            ..MetricsExtras::default()
         };
         let conn = ConnStats::default();
         conn.opened();
         conn.closed(2_000_000);
-        let text = render(&m, &stats, &stages, &conn);
+        let text = render(&m, &stats, &extras, &stages, &conn);
         tpn_obs::validate::validate(&text).unwrap();
         assert!(
             text.contains("tpn_requests_total{endpoint=\"analyze\",status=\"200\"} 2\n"),
@@ -1037,7 +1147,7 @@ mod tests {
             "{text}"
         );
         // Deterministic: identical state renders identical bytes.
-        assert_eq!(text, render(&m, &stats, &stages, &conn));
+        assert_eq!(text, render(&m, &stats, &extras, &stages, &conn));
     }
 
     #[test]

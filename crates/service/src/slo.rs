@@ -363,7 +363,7 @@ pub(crate) fn slo_json(config: &SloConfig, status: &SloStatus) -> String {
 mod tests {
     use super::*;
     use crate::history;
-    use crate::metrics::{ServiceMetrics, StatsSnapshot};
+    use crate::metrics::{ServiceMetrics, StatValues};
 
     #[test]
     fn defaults_cover_analysis_endpoints_only() {
@@ -425,7 +425,7 @@ mod tests {
         let cfg = SloConfig::default();
         let m = ServiceMetrics::new(true);
         let ring = tpn_obs::series::SeriesRing::new(history::schema(), 8);
-        let base = StatsSnapshot::default();
+        let base = StatValues::default();
         ring.push(&history::collect_frame(&m, &base, 1_000));
         for i in 0..100u64 {
             let ns = if i < slow_count { 1_000_000_000 } else { 1_000 };
