@@ -161,6 +161,13 @@ struct Reactor {
     inflight: usize,
     /// Listener deregistered from the poller (accept-pause).
     paused: bool,
+    /// Set when an `accept` failed on a resource limit (EMFILE,
+    /// ENFILE): the reactor clock time by which to re-register the
+    /// listener. The edge-triggered listener reports a non-empty
+    /// backlog only once, so without a retry the connections already
+    /// queued there would wait for the next new arrival. A close
+    /// retries sooner, since it frees a descriptor.
+    accept_retry_at: Option<u64>,
     draining: bool,
     drain_until: u64,
     start: Instant,
@@ -177,16 +184,17 @@ impl Reactor {
         let mut events: Vec<Event> = Vec::new();
         loop {
             let now = self.now_ms();
-            let timeout = if self.draining {
+            let timeout_ms = if self.draining {
                 // Poll the drain budget even if no fd turns ready.
-                Some(Duration::from_millis(
-                    WHEEL_GRANULARITY_MS.min(self.drain_until.saturating_sub(now).max(1)),
-                ))
+                Some(WHEEL_GRANULARITY_MS.min(self.drain_until.saturating_sub(now)))
             } else {
-                self.wheel
-                    .next_timeout_ms(now)
-                    .map(|ms| Duration::from_millis(ms.max(1)))
+                let retry = self.accept_retry_at.map(|at| at.saturating_sub(now));
+                match (self.wheel.next_timeout_ms(now), retry) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                }
             };
+            let timeout = timeout_ms.map(|ms| Duration::from_millis(ms.max(1)));
             if self.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
@@ -200,6 +208,10 @@ impl Reactor {
             self.drain_completions();
             let now = self.now_ms();
             self.fire_timers(now);
+            if self.accept_retry_at.is_some_and(|at| now >= at) {
+                self.accept_retry_at = None;
+                self.resume_accept();
+            }
             if self.stop.load(Ordering::SeqCst) && !self.draining {
                 self.begin_drain(now);
             }
@@ -220,10 +232,19 @@ impl Reactor {
                 Ok(pair) => pair,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // Transient accept failures (EMFILE under fd
-                // exhaustion): stop this batch; the next readiness
-                // event retries.
-                Err(_) => break,
+                Err(e) => {
+                    self.service.connections().accept_error();
+                    if e.kind() == io::ErrorKind::ConnectionAborted {
+                        continue; // the peer gave up while queued
+                    }
+                    // Out of descriptors (or memory): the backlog keeps
+                    // its connections, but no new edge will report
+                    // them. Park the listener and retry on the next
+                    // close or within one wheel tick.
+                    self.accept_retry_at = Some(self.now_ms() + WHEEL_GRANULARITY_MS);
+                    self.pause_accept();
+                    break;
+                }
             };
             if self.draining {
                 continue;
@@ -289,8 +310,15 @@ impl Reactor {
         }
     }
 
+    /// Re-register the listener unless the in-flight budget is spent
+    /// or an accept retry is pending (epoll level-checks at
+    /// registration, so a parked backlog surfaces immediately).
     fn resume_accept(&mut self) {
-        if self.paused && !self.draining {
+        if self.paused
+            && !self.draining
+            && self.inflight < self.budget
+            && self.accept_retry_at.is_none()
+        {
             use std::os::fd::AsRawFd;
             if self
                 .poller
@@ -588,9 +616,7 @@ impl Reactor {
             conn.parked = false;
             self.drive(token);
         }
-        if self.paused && self.inflight < self.budget {
-            self.resume_accept();
-        }
+        self.resume_accept();
     }
 
     // ---- deadlines ----
@@ -663,6 +689,10 @@ impl Reactor {
         // from epoll; stale events for this token fail the slab's
         // generation check.
         drop(conn);
+        // The freed descriptor is what a failed accept was waiting for.
+        if self.accept_retry_at.take().is_some() {
+            self.resume_accept();
+        }
     }
 }
 
@@ -802,6 +832,7 @@ pub(crate) fn spawn_epoll(service: Arc<Service>, addr: &str) -> io::Result<Serve
         budget: budget.max(1),
         inflight: 0,
         paused: false,
+        accept_retry_at: None,
         draining: false,
         drain_until: 0,
         start: Instant::now(),

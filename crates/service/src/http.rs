@@ -1115,6 +1115,7 @@ impl Service {
         v[Stat::ConnRejected] = conn.rejected;
         v[Stat::ConnTimeouts] = conn.timeouts;
         v[Stat::ConnDrained] = conn.drained;
+        v[Stat::ConnAcceptErrors] = conn.accept_errors;
         v
     }
 
@@ -1343,6 +1344,7 @@ pub(crate) fn spawn_threaded(service: Arc<Service>, addr: &str) -> std::io::Resu
                 let stream = match listener.accept() {
                     Ok((stream, _)) => stream,
                     Err(_) => {
+                        service.conn.accept_error();
                         // Transient failures (e.g. EMFILE under fd
                         // exhaustion) return immediately: back off so
                         // the loop cannot pin a core, and honour the

@@ -415,6 +415,7 @@ pub struct ConnStats {
     rejected: AtomicU64,
     timeouts: AtomicU64,
     drained: AtomicU64,
+    accept_errors: AtomicU64,
     /// Accepted-to-closed connection lifetime.
     lifetime: Histogram,
 }
@@ -427,6 +428,7 @@ impl Default for ConnStats {
             rejected: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             drained: AtomicU64::new(0),
+            accept_errors: AtomicU64::new(0),
             lifetime: Histogram::new(),
         }
     }
@@ -445,6 +447,8 @@ pub struct ConnScalars {
     pub timeouts: u64,
     /// Connections closed by graceful drain at shutdown.
     pub drained: u64,
+    /// Failed `accept` calls (descriptor exhaustion and the like).
+    pub accept_errors: u64,
 }
 
 impl ConnStats {
@@ -477,6 +481,11 @@ impl ConnStats {
         self.drained.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Count one failed `accept` call.
+    pub fn accept_error(&self) {
+        self.accept_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Copy the scalar counters out.
     pub fn scalars(&self) -> ConnScalars {
         ConnScalars {
@@ -485,6 +494,7 @@ impl ConnStats {
             rejected: self.rejected.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             drained: self.drained.load(Ordering::Relaxed),
+            accept_errors: self.accept_errors.load(Ordering::Relaxed),
         }
     }
 
@@ -568,10 +578,11 @@ pub(crate) enum Stat {
     ConnRejected,
     ConnTimeouts,
     ConnDrained,
+    ConnAcceptErrors,
 }
 
 /// Number of rows in [`STATS`].
-pub(crate) const STAT_COUNT: usize = Stat::ConnDrained as usize + 1;
+pub(crate) const STAT_COUNT: usize = Stat::ConnAcceptErrors as usize + 1;
 
 /// One scalar's identity on every surface that reports it.
 #[derive(Debug)]
@@ -710,6 +721,8 @@ pub(crate) const STATS: [StatRow; STAT_COUNT] = {
             "Connections closed by a read or write deadline."),
         row(ConnDrained, Connections, Counter, "drained", "tpn_connections_drained_total", Absent,
             "Connections closed by graceful drain at shutdown."),
+        row(ConnAcceptErrors, Connections, Counter, "accept_errors", "tpn_connections_accept_errors_total", Absent,
+            "Failed accept calls (for example on file-descriptor exhaustion)."),
     ]
 };
 

@@ -393,6 +393,123 @@ fn shutdown_drains_idle_connections() {
     assert!(rest.is_empty());
 }
 
+/// A `tpn serve` child process, killed however the test ends. Its
+/// stdout stays open for the process lifetime (the banner is two
+/// lines; closing the pipe early would break the second print).
+struct Daemon {
+    child: std::process::Child,
+    _stdout: std::io::BufReader<std::process::ChildStdout>,
+}
+
+impl Daemon {
+    /// Run `shell` (which must `exec "$0" serve 127.0.0.1:0`) with the
+    /// `tpn` binary as `$0`; returns the daemon and its bound address.
+    fn spawn(shell: &str) -> (Daemon, SocketAddr) {
+        let mut child = std::process::Command::new("sh")
+            .args(["-c", shell, env!("CARGO_BIN_EXE_tpn")])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn tpn serve");
+        let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+        let mut banner = String::new();
+        std::io::BufRead::read_line(&mut stdout, &mut banner).unwrap();
+        assert!(banner.contains("(epoll listener)"), "{banner}");
+        let addr = banner
+            .split("http://")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|a| a.parse().ok())
+            .unwrap_or_else(|| panic!("no address in {banner:?}"));
+        let daemon = Daemon {
+            child,
+            _stdout: stdout,
+        };
+        (daemon, addr)
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Write one `GET /healthz` request on `stream`.
+fn send_healthz(stream: &mut TcpStream, connection: &str) {
+    let request = format!("GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: {connection}\r\n\r\n");
+    stream.write_all(request.as_bytes()).expect("send");
+}
+
+/// Wait up to `patience` for a response head on `stream`; true when a
+/// `200` arrived.
+fn answered(stream: &mut TcpStream, patience: Duration) -> bool {
+    let deadline = Instant::now() + patience;
+    let mut got = Vec::new();
+    let mut buf = [0u8; 512];
+    while !got.windows(4).any(|w| w == b"\r\n\r\n") {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return false;
+        }
+        stream.set_read_timeout(Some(left)).unwrap();
+        match stream.read(&mut buf) {
+            Ok(n) if n > 0 => got.extend_from_slice(&buf[..n]),
+            _ => return false,
+        }
+    }
+    got.starts_with(b"HTTP/1.1 200")
+}
+
+/// Descriptor exhaustion must not strand the kernel backlog: after an
+/// `accept` fails with EMFILE the edge-triggered listener reports the
+/// queued connections no more, so the reactor has to retry on its
+/// own once descriptors free up.
+#[test]
+fn backlog_is_served_after_descriptor_exhaustion() {
+    if !IoMode::epoll_supported() {
+        return;
+    }
+    let (_daemon, addr) = Daemon::spawn("ulimit -n 48; exec \"$0\" serve 127.0.0.1:0");
+
+    // Fill the daemon's descriptor table with keep-alive clients until
+    // one goes unanswered: that one, and every later one, waits in the
+    // kernel backlog with its request already written.
+    let mut admitted = Vec::new();
+    let mut backlog = Vec::new();
+    while backlog.is_empty() {
+        assert!(admitted.len() < 64, "the descriptor limit never bit");
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        send_healthz(&mut stream, "keep-alive");
+        if answered(&mut stream, Duration::from_millis(500)) {
+            admitted.push(stream);
+        } else {
+            backlog.push(stream);
+        }
+    }
+    for _ in 0..3 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        send_healthz(&mut stream, "close");
+        backlog.push(stream);
+    }
+
+    // Free one descriptor per backlogged request — an admitted client
+    // asks for `Connection: close`, so the reactor closes its socket
+    // after answering — then wait for that backlogged request. No new
+    // connection arrives to raise a fresh listener edge, so only the
+    // reactor's own retry can pick the backlog up.
+    for (i, stream) in backlog.iter_mut().enumerate() {
+        let mut client = admitted.pop().expect("more admitted than backlogged");
+        send_healthz(&mut client, "close");
+        assert!(answered(&mut client, Duration::from_secs(2)));
+        assert!(
+            answered(stream, Duration::from_secs(2)),
+            "backlogged request {i} unanswered 2 s after a descriptor freed"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Observability
 // ---------------------------------------------------------------------
@@ -427,6 +544,7 @@ fn connection_stats_surface_on_stats_and_metrics() {
         "tpn_connections_rejected_total",
         "tpn_connection_timeouts_total",
         "tpn_connections_drained_total",
+        "tpn_connections_accept_errors_total",
         "tpn_connection_lifetime_seconds_bucket",
     ] {
         assert!(text.contains(family), "missing {family} in:\n{text}");
