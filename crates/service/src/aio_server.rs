@@ -48,7 +48,8 @@ use tpn_aio::wake::Waker;
 
 use crate::executor::ThreadPool;
 use crate::http::{
-    reason, route, spawn_sampler, AioConfig, Request, ServerHandle, Service, JSON, MAX_HEAD_BYTES,
+    response_head, route, spawn_sampler, AioConfig, Framing, Request, ServerHandle, Service, JSON,
+    MAX_HEAD_BYTES,
 };
 use crate::json::error_body;
 
@@ -559,27 +560,17 @@ impl Reactor {
         let close =
             force_close || conn.close_after || conn.served >= max_requests || draining || conn.eof;
         conn.close_after = close;
-        let connection = if close { "close" } else { "keep-alive" };
-        if body.len() > threshold {
-            let head = format!(
-                "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
-                status,
-                reason(status),
-                content_type,
-                connection,
-            );
-            conn.out.extend_from_slice(head.as_bytes());
+        let streamed = body.len() > threshold;
+        let framing = if streamed {
+            Framing::Chunked
+        } else {
+            Framing::Length(body.len())
+        };
+        let head = response_head(status, content_type, framing, close);
+        conn.out.extend_from_slice(head.as_bytes());
+        if streamed {
             conn.streaming = Some((Arc::clone(body), 0));
         } else {
-            let head = format!(
-                "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-                status,
-                reason(status),
-                content_type,
-                body.len(),
-                connection,
-            );
-            conn.out.extend_from_slice(head.as_bytes());
             conn.out.extend_from_slice(body.as_bytes());
         }
         conn.phase = Phase::Writing;
@@ -704,14 +695,9 @@ fn reject_over_capacity(stream: TcpStream, service: &Service) {
     let mut stream = stream;
     let _ = stream.set_nonblocking(true);
     let body = error_body("connection limit reached");
-    let head = format!(
-        "HTTP/1.1 503 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-        reason(503),
-        JSON,
-        body.len(),
-        body,
-    );
-    let _ = stream.write(head.as_bytes());
+    let mut reply = response_head(503, JSON, Framing::Length(body.len()), true);
+    reply.push_str(&body);
+    let _ = stream.write(reply.as_bytes());
 }
 
 enum FlushOutcome {

@@ -1478,14 +1478,42 @@ pub(crate) fn reason(status: u16) -> &'static str {
     }
 }
 
-fn write_response(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        status,
-        reason(status),
-        content_type,
-        body.len()
+/// How a response body is delimited on the wire.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Framing {
+    /// `Content-Length: n`, the body written whole.
+    Length(usize),
+    /// `Transfer-Encoding: chunked`, the body streamed as frames.
+    Chunked,
+}
+
+/// The status line and headers of one response, through the blank
+/// line — the one formatter both listeners use.
+pub(crate) fn response_head(
+    status: u16,
+    content_type: &str,
+    framing: Framing,
+    close: bool,
+) -> String {
+    use std::fmt::Write as _;
+    let mut head = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n",
+        reason(status)
     );
+    let _ = match framing {
+        Framing::Length(n) => write!(head, "Content-Length: {n}\r\n"),
+        Framing::Chunked => write!(head, "Transfer-Encoding: chunked\r\n"),
+    };
+    head.push_str(if close {
+        "Connection: close\r\n\r\n"
+    } else {
+        "Connection: keep-alive\r\n\r\n"
+    });
+    head
+}
+
+fn write_response(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
+    let head = response_head(status, content_type, Framing::Length(body.len()), true);
     let _ = stream.write_all(head.as_bytes());
     let _ = stream.write_all(body.as_bytes());
     let _ = stream.flush();
