@@ -1483,7 +1483,9 @@ pub(crate) fn reason(status: u16) -> &'static str {
 pub(crate) enum Framing {
     /// `Content-Length: n`, the body written whole.
     Length(usize),
-    /// `Transfer-Encoding: chunked`, the body streamed as frames.
+    /// `Transfer-Encoding: chunked`, the body streamed as frames (the
+    /// epoll listener's large bodies).
+    #[cfg_attr(not(all(target_os = "linux", feature = "aio-epoll")), allow(dead_code))]
     Chunked,
 }
 
