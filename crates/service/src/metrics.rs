@@ -18,8 +18,9 @@
 //! state renders byte-identically and the output is checkable by
 //! `tpn_obs::validate`.
 //!
-//! [`STATS`] is the one table of those scalars: `/stats`, `/metrics`
-//! and the retention-ring columns are all rendered from it.
+//! `STATS` (crate-private) is the one table of those scalars:
+//! `/stats`, `/metrics` and the retention-ring columns are all
+//! rendered from it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
