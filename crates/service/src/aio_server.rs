@@ -162,12 +162,9 @@ struct Reactor {
     inflight: usize,
     /// Listener deregistered from the poller (accept-pause).
     paused: bool,
-    /// Set when an `accept` failed on a resource limit (EMFILE,
-    /// ENFILE): the reactor clock time by which to re-register the
-    /// listener. The edge-triggered listener reports a non-empty
-    /// backlog only once, so without a retry the connections already
-    /// queued there would wait for the next new arrival. A close
-    /// retries sooner, since it frees a descriptor.
+    /// After an `accept` failed on a resource limit (EMFILE, ENFILE):
+    /// when to re-register the listener, whose edge-triggered readiness
+    /// will not report the already-queued backlog again.
     accept_retry_at: Option<u64>,
     draining: bool,
     drain_until: u64,
@@ -190,10 +187,10 @@ impl Reactor {
                 Some(WHEEL_GRANULARITY_MS.min(self.drain_until.saturating_sub(now)))
             } else {
                 let retry = self.accept_retry_at.map(|at| at.saturating_sub(now));
-                match (self.wheel.next_timeout_ms(now), retry) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                }
+                [self.wheel.next_timeout_ms(now), retry]
+                    .into_iter()
+                    .flatten()
+                    .min()
             };
             let timeout = timeout_ms.map(|ms| Duration::from_millis(ms.max(1)));
             if self.poller.wait(&mut events, timeout).is_err() {
@@ -238,10 +235,8 @@ impl Reactor {
                     if e.kind() == io::ErrorKind::ConnectionAborted {
                         continue; // the peer gave up while queued
                     }
-                    // Out of descriptors (or memory): the backlog keeps
-                    // its connections, but no new edge will report
-                    // them. Park the listener and retry on the next
-                    // close or within one wheel tick.
+                    // Out of descriptors: park the listener and retry
+                    // on the next close or within one wheel tick.
                     self.accept_retry_at = Some(self.now_ms() + WHEEL_GRANULARITY_MS);
                     self.pause_accept();
                     break;

@@ -542,49 +542,6 @@ impl Kind {
     }
 }
 
-/// Every scalar the service reports, in `/stats` order — the index
-/// into [`STATS`] and into a [`StatValues`] reading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Stat {
-    Requests,
-    Computations,
-    Hits,
-    Misses,
-    Coalesced,
-    Evictions,
-    Entries,
-    Bytes,
-    Sweeps,
-    SweepHits,
-    SweepCompiles,
-    SweepPoints,
-    Optimizes,
-    OptimizeHits,
-    OptimizeSolves,
-    OptimizeCertified,
-    Whatifs,
-    WhatifPerturbations,
-    WhatifHits,
-    WhatifRetimes,
-    WhatifRejects,
-    V1Envelopes,
-    SessionEntries,
-    SessionHits,
-    SessionMisses,
-    SessionEvictions,
-    Threads,
-    QueueCap,
-    ConnOpen,
-    ConnAccepted,
-    ConnRejected,
-    ConnTimeouts,
-    ConnDrained,
-    ConnAcceptErrors,
-}
-
-/// Number of rows in [`STATS`].
-pub(crate) const STAT_COUNT: usize = Stat::ConnAcceptErrors as usize + 1;
-
 /// One scalar's identity on every surface that reports it.
 #[derive(Debug)]
 pub(crate) struct StatRow {
@@ -602,7 +559,7 @@ pub(crate) struct StatRow {
 }
 
 /// How a table row names its retention-ring column.
-pub(crate) enum Ring {
+enum Ring {
     /// The ring does not carry the row.
     Absent,
     /// The column is named like the row's `/stats` key.
@@ -611,121 +568,130 @@ pub(crate) enum Ring {
     Named(&'static str),
 }
 
-const fn row(
-    stat: Stat,
-    group: Group,
-    kind: Kind,
-    key: &'static str,
-    family: &'static str,
-    ring: Ring,
-    help: &'static str,
-) -> StatRow {
-    let ring = match ring {
-        Ring::Absent => None,
-        Ring::AsKey => Some(key),
-        Ring::Named(name) => Some(name),
-    };
-    StatRow {
-        stat,
-        group,
-        kind,
-        key,
-        family,
-        ring,
-        help,
+impl Ring {
+    const fn column(self, key: &'static str) -> Option<&'static str> {
+        match self {
+            Ring::Absent => None,
+            Ring::AsKey => Some(key),
+            Ring::Named(name) => Some(name),
+        }
     }
 }
 
-/// The one list of service scalars, in `/stats` order. Every surface
-/// renders from it:
-///
-/// - `/stats` walks it in order, nesting each group's rows under the
-///   group key (the per-stage `artifacts` and the `process` object are
-///   hand-written between slices of it);
-/// - `/metrics` renders the non-connection counters, then their
-///   gauges, then the connection rows, each as one `tpn_*` family;
-/// - the retention ring carries the rows with a ring column, counters
-///   then gauges, in table order.
-///
-/// A new counter is one row here plus its increment (or its read in
-/// `Service::stat_values`).
-#[rustfmt::skip]
-pub(crate) const STATS: [StatRow; STAT_COUNT] = {
-    use Group::*;
-    use Kind::*;
-    use Ring::*;
-    use Stat::*;
-    [
-        row(Requests, Top, Counter, "requests", "tpn_service_requests_total", AsKey,
-            "Analysis requests accepted across all surfaces (the /stats \"requests\" counter)."),
-        row(Computations, Top, Counter, "computations", "tpn_cache_computations_total", AsKey,
-            "Body-cache misses that ran a computation."),
-        row(Hits, Top, Counter, "hits", "tpn_cache_hits_total", AsKey,
-            "Body-cache hits."),
-        row(Misses, Top, Counter, "misses", "tpn_cache_misses_total", AsKey,
-            "Body-cache misses."),
-        row(Coalesced, Top, Counter, "coalesced", "tpn_cache_coalesced_total", AsKey,
-            "Requests that coalesced onto a concurrent identical computation."),
-        row(Evictions, Top, Counter, "evictions", "tpn_cache_evictions_total", AsKey,
-            "Body-cache evictions."),
-        row(Entries, Top, Gauge, "entries", "tpn_cache_entries", Named("cache_entries"),
-            "Live body-cache entries."),
-        row(Bytes, Top, Gauge, "bytes", "tpn_cache_bytes", Named("cache_bytes"),
-            "Bytes held by body-cache entries."),
-        row(Sweeps, Top, Counter, "sweeps", "tpn_sweeps_total", AsKey,
-            "Sweep requests."),
-        row(SweepHits, Top, Counter, "sweep_hits", "tpn_sweep_hits_total", AsKey,
-            "Sweep cache hits."),
-        row(SweepCompiles, Top, Counter, "sweep_compiles", "tpn_sweep_compiles_total", AsKey,
-            "Sweep grid evaluations actually run."),
-        row(SweepPoints, Top, Counter, "sweep_points", "tpn_sweep_points_total", AsKey,
-            "Grid points evaluated by sweeps."),
-        row(Optimizes, Top, Counter, "optimizes", "tpn_optimizes_total", AsKey,
-            "Optimize requests."),
-        row(OptimizeHits, Top, Counter, "optimize_hits", "tpn_optimize_hits_total", AsKey,
-            "Optimize cache hits."),
-        row(OptimizeSolves, Top, Counter, "optimize_solves", "tpn_optimize_solves_total", AsKey,
-            "Optimizer solves actually run."),
-        row(OptimizeCertified, Top, Counter, "optimize_certified", "tpn_optimize_certified_total", AsKey,
-            "Optimizer solves that produced a certificate."),
-        row(Whatifs, Top, Counter, "whatifs", "tpn_whatifs_total", AsKey,
-            "What-if batch requests."),
-        row(WhatifPerturbations, Top, Counter, "whatif_perturbations", "tpn_whatif_perturbations_total", AsKey,
-            "Individual what-if perturbations served."),
-        row(WhatifHits, Top, Counter, "whatif_hits", "tpn_whatif_hits_total", AsKey,
-            "What-if perturbations answered from the cache."),
-        row(WhatifRetimes, Top, Counter, "whatif_retimes", "tpn_whatif_retimes_total", AsKey,
-            "What-if perturbations that instantiated the re-timing template."),
-        row(WhatifRejects, Top, Counter, "whatif_rejects", "tpn_whatif_rejects_total", AsKey,
-            "What-if perturbations rejected (invalid or out of region)."),
-        row(V1Envelopes, Top, Counter, "v1_envelopes", "tpn_v1_envelopes_total", AsKey,
-            "POST /v1 envelopes served."),
-        row(SessionEntries, Sessions, Gauge, "entries", "tpn_sessions", Named("sessions"),
-            "Live sessions in the artifact tier."),
-        row(SessionHits, Sessions, Counter, "hits", "tpn_session_hits_total", Named("session_hits"),
-            "Artifact-tier lookups that found a live session."),
-        row(SessionMisses, Sessions, Counter, "misses", "tpn_session_misses_total", Named("session_misses"),
-            "Artifact-tier lookups that created a session."),
-        row(SessionEvictions, Sessions, Counter, "evictions", "tpn_session_evictions_total", Named("session_evictions"),
-            "Sessions evicted from the artifact tier."),
-        row(Threads, Top, Gauge, "threads", "tpn_threads", Absent,
-            "Configured worker threads."),
-        row(QueueCap, Top, Gauge, "queue_cap", "tpn_queue_cap", Absent,
-            "Configured connection queue capacity."),
-        row(ConnOpen, Connections, Gauge, "open", "tpn_connections_open", Absent,
-            "Connections currently open (accepted, not yet closed)."),
-        row(ConnAccepted, Connections, Counter, "accepted", "tpn_connections_accepted_total", Absent,
-            "Connections accepted since start."),
-        row(ConnRejected, Connections, Counter, "rejected", "tpn_connections_rejected_total", Absent,
-            "Connections refused at the hard connection cap."),
-        row(ConnTimeouts, Connections, Counter, "timeouts", "tpn_connection_timeouts_total", Absent,
-            "Connections closed by a read or write deadline."),
-        row(ConnDrained, Connections, Counter, "drained", "tpn_connections_drained_total", Absent,
-            "Connections closed by graceful drain at shutdown."),
-        row(ConnAcceptErrors, Connections, Counter, "accept_errors", "tpn_connections_accept_errors_total", Absent,
-            "Failed accept calls (for example on file-descriptor exhaustion)."),
-    ]
-};
+/// Declares [`Stat`], [`STAT_COUNT`] and [`STATS`] from one list, so
+/// each row's [`Stat`] variant is its index by construction. An entry
+/// reads `Variant: group, kind, "/stats key", "family", ring, "HELP";`.
+macro_rules! stat_table {
+    ($($stat:ident: $group:ident, $kind:ident, $key:literal, $family:literal, $ring:expr,
+        $help:literal;)+) => {
+        /// Every scalar the service reports, in `/stats` order — the
+        /// index into [`STATS`] and into a [`StatValues`] reading.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum Stat {
+            $($stat,)+
+        }
+
+        /// Number of rows in [`STATS`].
+        pub(crate) const STAT_COUNT: usize = [$(Stat::$stat),+].len();
+
+        /// The one list of service scalars, in `/stats` order. Every surface
+        /// renders from it:
+        ///
+        /// - `/stats` walks it in order, nesting each group's rows under the
+        ///   group key (the per-stage `artifacts` and the `process` object are
+        ///   hand-written between slices of it);
+        /// - `/metrics` renders the non-connection counters, then their
+        ///   gauges, then the connection rows, each as one `tpn_*` family;
+        /// - the retention ring carries the rows with a ring column, counters
+        ///   then gauges, in table order.
+        ///
+        /// A new counter is one entry in the `stat_table!` list plus its
+        /// increment (or its read in `Service::stat_values`).
+        pub(crate) const STATS: [StatRow; STAT_COUNT] = {
+            use Ring::*;
+            [$(StatRow {
+                stat: Stat::$stat,
+                group: Group::$group,
+                kind: Kind::$kind,
+                key: $key,
+                family: $family,
+                ring: $ring.column($key),
+                help: $help,
+            },)+]
+        };
+    };
+}
+
+stat_table! {
+    Requests: Top, Counter, "requests", "tpn_service_requests_total", AsKey,
+        "Analysis requests accepted across all surfaces (the /stats \"requests\" counter).";
+    Computations: Top, Counter, "computations", "tpn_cache_computations_total", AsKey,
+        "Body-cache misses that ran a computation.";
+    Hits: Top, Counter, "hits", "tpn_cache_hits_total", AsKey,
+        "Body-cache hits.";
+    Misses: Top, Counter, "misses", "tpn_cache_misses_total", AsKey,
+        "Body-cache misses.";
+    Coalesced: Top, Counter, "coalesced", "tpn_cache_coalesced_total", AsKey,
+        "Requests that coalesced onto a concurrent identical computation.";
+    Evictions: Top, Counter, "evictions", "tpn_cache_evictions_total", AsKey,
+        "Body-cache evictions.";
+    Entries: Top, Gauge, "entries", "tpn_cache_entries", Named("cache_entries"),
+        "Live body-cache entries.";
+    Bytes: Top, Gauge, "bytes", "tpn_cache_bytes", Named("cache_bytes"),
+        "Bytes held by body-cache entries.";
+    Sweeps: Top, Counter, "sweeps", "tpn_sweeps_total", AsKey,
+        "Sweep requests.";
+    SweepHits: Top, Counter, "sweep_hits", "tpn_sweep_hits_total", AsKey,
+        "Sweep cache hits.";
+    SweepCompiles: Top, Counter, "sweep_compiles", "tpn_sweep_compiles_total", AsKey,
+        "Sweep grid evaluations actually run.";
+    SweepPoints: Top, Counter, "sweep_points", "tpn_sweep_points_total", AsKey,
+        "Grid points evaluated by sweeps.";
+    Optimizes: Top, Counter, "optimizes", "tpn_optimizes_total", AsKey,
+        "Optimize requests.";
+    OptimizeHits: Top, Counter, "optimize_hits", "tpn_optimize_hits_total", AsKey,
+        "Optimize cache hits.";
+    OptimizeSolves: Top, Counter, "optimize_solves", "tpn_optimize_solves_total", AsKey,
+        "Optimizer solves actually run.";
+    OptimizeCertified: Top, Counter, "optimize_certified", "tpn_optimize_certified_total", AsKey,
+        "Optimizer solves that produced a certificate.";
+    Whatifs: Top, Counter, "whatifs", "tpn_whatifs_total", AsKey,
+        "What-if batch requests.";
+    WhatifPerturbations: Top, Counter, "whatif_perturbations", "tpn_whatif_perturbations_total", AsKey,
+        "Individual what-if perturbations served.";
+    WhatifHits: Top, Counter, "whatif_hits", "tpn_whatif_hits_total", AsKey,
+        "What-if perturbations answered from the cache.";
+    WhatifRetimes: Top, Counter, "whatif_retimes", "tpn_whatif_retimes_total", AsKey,
+        "What-if perturbations that instantiated the re-timing template.";
+    WhatifRejects: Top, Counter, "whatif_rejects", "tpn_whatif_rejects_total", AsKey,
+        "What-if perturbations rejected (invalid or out of region).";
+    V1Envelopes: Top, Counter, "v1_envelopes", "tpn_v1_envelopes_total", AsKey,
+        "POST /v1 envelopes served.";
+    SessionEntries: Sessions, Gauge, "entries", "tpn_sessions", Named("sessions"),
+        "Live sessions in the artifact tier.";
+    SessionHits: Sessions, Counter, "hits", "tpn_session_hits_total", Named("session_hits"),
+        "Artifact-tier lookups that found a live session.";
+    SessionMisses: Sessions, Counter, "misses", "tpn_session_misses_total", Named("session_misses"),
+        "Artifact-tier lookups that created a session.";
+    SessionEvictions: Sessions, Counter, "evictions", "tpn_session_evictions_total", Named("session_evictions"),
+        "Sessions evicted from the artifact tier.";
+    Threads: Top, Gauge, "threads", "tpn_threads", Absent,
+        "Configured worker threads.";
+    QueueCap: Top, Gauge, "queue_cap", "tpn_queue_cap", Absent,
+        "Configured connection queue capacity.";
+    ConnOpen: Connections, Gauge, "open", "tpn_connections_open", Absent,
+        "Connections currently open (accepted, not yet closed).";
+    ConnAccepted: Connections, Counter, "accepted", "tpn_connections_accepted_total", Absent,
+        "Connections accepted since start.";
+    ConnRejected: Connections, Counter, "rejected", "tpn_connections_rejected_total", Absent,
+        "Connections refused at the hard connection cap.";
+    ConnTimeouts: Connections, Counter, "timeouts", "tpn_connection_timeouts_total", Absent,
+        "Connections closed by a read or write deadline.";
+    ConnDrained: Connections, Counter, "drained", "tpn_connections_drained_total", Absent,
+        "Connections closed by graceful drain at shutdown.";
+    ConnAcceptErrors: Connections, Counter, "accept_errors", "tpn_connections_accept_errors_total", Absent,
+        "Failed accept calls (for example on file-descriptor exhaustion).";
+}
 
 /// One reading of every [`STATS`] row, indexed by [`Stat`].
 #[derive(Debug, Clone, Copy)]
@@ -1084,12 +1050,11 @@ mod tests {
     }
 
     #[test]
-    fn stat_table_rows_sit_at_their_index_with_unique_names() {
+    fn stat_table_names_are_unique_and_typed() {
         let mut families = std::collections::HashSet::new();
         let mut rings = std::collections::HashSet::new();
         let mut keys = std::collections::HashSet::new();
-        for (i, row) in STATS.iter().enumerate() {
-            assert_eq!(row.stat as usize, i, "{} out of place", row.key);
+        for row in &STATS {
             assert!(families.insert(row.family), "duplicate {}", row.family);
             assert!(
                 keys.insert((row.group.key(), row.key)),
