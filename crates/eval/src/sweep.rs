@@ -51,6 +51,14 @@ impl Axis {
     /// constructor for endpoints that arrive over the wire (a hostile
     /// `from`/`to` pair near `i128::MAX` must surface as an error, not
     /// panic a server worker).
+    ///
+    /// With `from = a/b`, `to − from = p/q` and `n = steps − 1`, value
+    /// `i` is `(a·q·n + p·b·i) / (b·q·n)`, normalised once. When those
+    /// products would overflow, the values come from the step-by-step
+    /// chain `from + (to − from)·i / n` instead. Every intermediate of
+    /// that chain is bounded by a product of the closed form, so an
+    /// axis is accepted exactly when the chain alone would accept it,
+    /// and exact arithmetic makes the values equal.
     pub fn try_linear(
         symbol: Symbol,
         from: Rational,
@@ -63,17 +71,10 @@ impl Axis {
             1 => vec![from],
             _ => {
                 let span = to.checked_sub(&from).map_err(overflow)?;
-                let denom = Rational::from_int((steps - 1) as i128);
-                let mut values = Vec::with_capacity(steps);
-                for i in 0..steps {
-                    let offset = span
-                        .checked_mul(&Rational::from_int(i as i128))
-                        .and_then(|x| x.checked_div(&denom))
-                        .and_then(|x| from.checked_add(&x))
-                        .map_err(overflow)?;
-                    values.push(offset);
+                match closed_form(from, span, steps) {
+                    Some(values) => values,
+                    None => step_chain(from, span, steps).map_err(overflow)?,
                 }
-                values
             }
         };
         Ok(Axis { symbol, values })
@@ -88,6 +89,41 @@ impl Axis {
     pub fn values(&self) -> &[Rational] {
         &self.values
     }
+}
+
+/// The `steps ≥ 2` values of [`Axis::try_linear`] in closed form, or
+/// `None` if a product would overflow `i128`. The numerator is
+/// monotone in `i`, so checking it at both ends covers every point.
+fn closed_form(from: Rational, span: Rational, steps: usize) -> Option<Vec<Rational>> {
+    let (a, b) = (from.numer(), from.denom());
+    let (p, q) = (span.numer(), span.denom());
+    let n = i128::try_from(steps - 1).ok()?;
+    let base = a.checked_mul(q)?.checked_mul(n)?;
+    let den = b.checked_mul(q)?.checked_mul(n)?;
+    let step = p.checked_mul(b)?;
+    base.checked_add(step.checked_mul(n)?)?;
+    Some(
+        (0..=n)
+            .map(|i| Rational::new(base + step * i, den))
+            .collect(),
+    )
+}
+
+/// The `steps ≥ 2` values of [`Axis::try_linear`] one checked operation
+/// at a time — the fallback where [`closed_form`] would overflow.
+fn step_chain(
+    from: Rational,
+    span: Rational,
+    steps: usize,
+) -> Result<Vec<Rational>, tpn_rational::ArithmeticError> {
+    let denom = Rational::from_int((steps - 1) as i128);
+    (0..steps)
+        .map(|i| {
+            span.checked_mul(&Rational::from_int(i as i128))
+                .and_then(|x| x.checked_div(&denom))
+                .and_then(|x| from.checked_add(&x))
+        })
+        .collect()
 }
 
 /// A validated cartesian grid of sweep axes.
@@ -416,6 +452,7 @@ fn run_chunked<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tpn_symbolic::{Poly, RatFn};
 
     fn r(n: i128, d: i128) -> Rational {
@@ -429,6 +466,85 @@ mod tests {
         let vals: Vec<Rational> = a.values().to_vec();
         assert_eq!(vals, vec![r(1, 1), r(5, 4), r(3, 2), r(7, 4), r(2, 1)]);
         assert_eq!(Axis::linear(s, r(9, 1), r(99, 1), 1).values(), &[r(9, 1)]);
+    }
+
+    /// The step-by-step chain alone, as the oracle for
+    /// `Axis::try_linear`: `from + (to − from)·i / (steps − 1)`.
+    fn chain_oracle(s: Symbol, from: Rational, to: Rational, steps: usize) -> Option<Axis> {
+        if steps < 2 {
+            return Some(Axis::list(s, vec![from; steps]));
+        }
+        let span = to.checked_sub(&from).ok()?;
+        step_chain(from, span, steps).ok().map(|v| Axis::list(s, v))
+    }
+
+    #[test]
+    fn closed_form_falls_back_where_only_the_reduced_values_fit() {
+        let s = Symbol::intern("sw_fallback");
+        let from = Rational::from_int(1 << 120);
+        let to = Rational::from_int((1 << 120) + 1024);
+        // a·q·n = 2^130 overflows, yet every value is the integer 2^120 + i.
+        assert!(closed_form(from, to - from, 1025).is_none());
+        let axis = Axis::try_linear(s, from, to, 1025).unwrap();
+        assert_eq!(axis.values()[7], Rational::from_int((1 << 120) + 7));
+        assert_eq!(Some(axis), chain_oracle(s, from, to, 1025));
+        // Far apart, both forms overflow.
+        let err = Axis::try_linear(s, Rational::from_int(i128::MIN + 1), from, 3);
+        assert!(matches!(err, Err(EvalError::AxisOverflow { .. })));
+    }
+
+    /// An `i128` of any magnitude: within 1000 of either limit, a
+    /// random power-of-two scale with either sign, or (one time in
+    /// three) small.
+    fn wide() -> impl Strategy<Value = i128> {
+        (0u8..6, 0u32..127, any::<u64>(), any::<u64>()).prop_map(|(kind, shift, hi, lo)| {
+            let x = ((((hi as u128) << 64) | lo as u128) >> 1 >> shift) as i128;
+            match kind {
+                0 => i128::MAX - x % 1000,
+                1 => i128::MIN + x % 1000,
+                2 if lo & 1 == 0 => x,
+                2 => -x,
+                _ => x % 2001 - 1000,
+            }
+        })
+    }
+
+    /// A rational with a [`wide`] numerator; the denominator is small
+    /// three times in four, else [`wide`] too.
+    fn rational() -> impl Strategy<Value = Rational> {
+        (wide(), wide(), 0u8..4, 1i128..1000).prop_map(|(n, d, kind, small)| {
+            let d = if kind == 0 { d % i128::MAX } else { small };
+            Rational::new(n, d.abs().max(1))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn closed_form_axis_equals_the_step_chain(
+            from in rational(),
+            other in rational(),
+            near in (any::<bool>(), -1000i128..1000, 1i128..1000),
+            steps in 0usize..130,
+        ) {
+            // Half the cases end a small step past `from`.
+            let to = match near {
+                (true, n, d) => from.checked_add(&Rational::new(n, d)).unwrap_or(other),
+                _ => other,
+            };
+            let s = Symbol::intern("sw_prop");
+            let oracle = chain_oracle(s, from, to, steps);
+            let axis = Axis::try_linear(s, from, to, steps).ok();
+            prop_assert_eq!(&axis, &oracle);
+            // Wherever the closed form fits, the chain fits too and
+            // agrees value for value.
+            if let (Ok(span), true) = (to.checked_sub(&from), steps >= 2) {
+                if let Some(values) = closed_form(from, span, steps) {
+                    prop_assert_eq!(Some(values), oracle.map(|a| a.values));
+                }
+            }
+        }
     }
 
     #[test]

@@ -95,8 +95,11 @@ pub struct ServiceConfig {
     /// Maximum grid points accepted by `/sweep` — the sweep analogue
     /// of `max_sim_events`.
     pub max_sweep_points: u64,
-    /// Maximum [`Session`]s held in the artifact tier of the cache
-    /// (one per distinct net digest, LRU-evicted).
+    /// Maximum [`Session`]s held in the artifact tier of the cache, one
+    /// per distinct net digest. Over capacity, the re-timed sessions
+    /// that `/whatif` batches insert are evicted before any net a
+    /// client sent; within each class, least recently used first (see
+    /// [`crate::sessions`]).
     pub max_sessions: usize,
     /// Whether to record request metrics and traces (`/metrics`,
     /// `/debug/requests`). Off, the whole observability layer is a
@@ -532,7 +535,7 @@ impl Service {
         kind: RequestKind,
     ) -> Result<Arc<String>, ServiceError> {
         let key = CacheKey {
-            digest: session.net().digest(),
+            digest: session.digest(),
             kind,
         };
         self.cache
@@ -570,7 +573,7 @@ impl Service {
         let spec_hash = spec.hash();
         metrics::annotate_spec(spec_hash);
         let key = CacheKey {
-            digest: session.net().digest(),
+            digest: session.digest(),
             kind: RequestKind::Sweep { spec: spec_hash },
         };
         let computed = AtomicBool::new(false);
@@ -622,7 +625,7 @@ impl Service {
         let spec_hash = spec.hash();
         metrics::annotate_spec(spec_hash);
         let key = CacheKey {
-            digest: session.net().digest(),
+            digest: session.digest(),
             kind: RequestKind::Optimize { spec: spec_hash },
         };
         let computed = AtomicBool::new(false);
@@ -680,6 +683,7 @@ impl Service {
     fn whatif_cached(&self, session: &Session, spec: &WhatifSpec) -> Arc<String> {
         let base = session.net();
         let structural = base.structural_digest();
+        let base_timing = base.timing();
         let requests_hash = crate::spec::spec_hash(&spec.requests_canonical());
         metrics::annotate_spec(requests_hash);
         let mut w = JsonWriter::new();
@@ -691,7 +695,7 @@ impl Service {
         w.key("structural_digest");
         w.string(&structural.to_hex());
         w.key("base_digest");
-        w.string(&base.digest().to_hex());
+        w.string(&session.digest().to_hex());
         w.key("requests");
         w.begin_array();
         for r in &spec.requests {
@@ -710,7 +714,14 @@ impl Service {
                 w.rational(value);
             }
             w.end_object();
-            match self.whatif_entry(session, spec, structural, requests_hash, delta) {
+            match self.whatif_entry(
+                session,
+                &base_timing,
+                spec,
+                structural,
+                requests_hash,
+                delta,
+            ) {
                 Ok(body) => {
                     w.key("status");
                     w.uint(200);
@@ -738,16 +749,18 @@ impl Service {
     /// re-timed session itself is inserted into the session tier under
     /// the **perturbed** net's full digest, and each inner analysis body
     /// is cached under `(full digest, kind)` — exactly the lines a
-    /// plain request for that net would hit.
+    /// plain request for that net would hit. `base_timing` is
+    /// `session.net().timing()`, extracted once per batch.
     fn whatif_entry(
         &self,
         session: &Session,
+        base_timing: &TimingAssignment,
         spec: &WhatifSpec,
         structural: NetDigest,
         requests_hash: u128,
         delta: &TimingAssignment,
     ) -> Result<Arc<String>, ServiceError> {
-        let timing = session.net().timing().merged(delta).hash();
+        let timing = base_timing.merged(delta).hash();
         let key = CacheKey {
             digest: structural,
             kind: RequestKind::Whatif {
@@ -760,18 +773,22 @@ impl Service {
             computed.store(true, Ordering::Relaxed);
             // Validate the delta against the base net first: an unknown
             // attribute or a negative value is a 400 before any
-            // substitution runs.
+            // substitution runs. The perturbed net and its digest are
+            // built once, here, and handed to the re-timing.
             let perturbed = session
                 .net()
                 .with_timing(delta)
                 .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
             let digest = perturbed.digest();
             let retimed = self.sessions.session_or_else(digest, || {
-                let retimed = session.retimed(delta).map_err(|e| match e {
-                    RetimeError::Invalid(m) => ServiceError::BadRequest(m),
-                    RetimeError::OutOfRegion(m) => ServiceError::OutOfRegion(m),
-                    RetimeError::Pipeline(e) => ServiceError::Analysis(e.to_string()),
-                })?;
+                let retimed =
+                    session
+                        .retimed_net(perturbed, digest, delta)
+                        .map_err(|e| match e {
+                            RetimeError::Invalid(m) => ServiceError::BadRequest(m),
+                            RetimeError::OutOfRegion(m) => ServiceError::OutOfRegion(m),
+                            RetimeError::Pipeline(e) => ServiceError::Analysis(e.to_string()),
+                        })?;
                 self.bump(Stat::WhatifRetimes);
                 Ok::<_, ServiceError>(retimed)
             })?;
@@ -853,7 +870,7 @@ impl Service {
         w.key("net");
         w.string(session.net().name());
         w.key("digest");
-        w.string(&session.net().digest().to_hex());
+        w.string(&session.digest().to_hex());
         w.key("results");
         w.begin_array();
         for request in &requests {

@@ -20,6 +20,13 @@ use tpn_rational::Rational;
 /// Escape `s` as a JSON string literal, quotes included.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+/// Append `s` to `out` as a JSON string literal, quotes included —
+/// [`escape`] without the intermediate `String`.
+fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -35,7 +42,6 @@ pub fn escape(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// What container the writer is currently inside.
@@ -113,7 +119,7 @@ impl JsonWriter {
             self.out.push(',');
         }
         *has = true;
-        self.out.push_str(&escape(k));
+        escape_into(&mut self.out, k);
         self.out.push(':');
         self.pending_key = true;
     }
@@ -149,8 +155,7 @@ impl JsonWriter {
     /// A string value.
     pub fn string(&mut self, s: &str) {
         self.before_value();
-        let escaped = escape(s);
-        self.out.push_str(&escaped);
+        escape_into(&mut self.out, s);
     }
 
     /// An unsigned integer value.
@@ -207,11 +212,11 @@ impl JsonWriter {
     }
 
     /// An exact rational as its `"n/d"` (or `"n"` when integral)
-    /// string rendering.
+    /// string rendering. Digits, `-` and `/` need no escaping, so it is
+    /// formatted straight into the buffer.
     pub fn rational(&mut self, r: &Rational) {
         self.before_value();
-        let rendered = r.to_string();
-        self.out.push_str(&escape(&rendered));
+        let _ = write!(self.out, "\"{r}\"");
     }
 }
 

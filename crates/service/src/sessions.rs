@@ -11,7 +11,21 @@
 //!
 //! Every session created here shares one [`StageCounters`], which is
 //! what the `/stats` endpoint's per-stage `artifact_*` counters report.
-//! Eviction is least-recently-used by session count; evicting a session
+//!
+//! The tier holds at most `capacity` sessions, in two classes:
+//!
+//! * **client sessions** — nets a client sent
+//!   ([`SessionCache::session_for`]);
+//! * **re-timed sessions** — what-if perturbations inserted by
+//!   [`SessionCache::session_or_else`].
+//!
+//! Over capacity, re-timed sessions are evicted first; a client
+//! session is evicted only when no re-timed one is left. Within each
+//! class the least-recently-used session goes. A what-if batch larger
+//! than the tier therefore never evicts its base session (or any other
+//! client's): the sweeps and batches that follow keep their memoized
+//! lift and compiled programs. A re-timed session that a client later
+//! sends as a plain net joins the client class. Evicting a session
 //! drops its artifacts but never its already-cached response bodies.
 
 use std::collections::HashMap;
@@ -37,9 +51,13 @@ pub struct SessionCacheStats {
 struct Slot {
     session: Arc<Session>,
     last_used: u64,
+    /// Inserted by [`SessionCache::session_or_else`] and not sent by a
+    /// client since: evicted before any client session.
+    retimed: bool,
 }
 
-/// An LRU-bounded map from net digest to shared [`Session`].
+/// A capacity-bounded map from net digest to shared [`Session`]; see
+/// the module docs for the eviction order.
 pub struct SessionCache {
     map: Mutex<HashMap<NetDigest, Slot>>,
     clock: AtomicU64,
@@ -73,14 +91,15 @@ impl SessionCache {
         &self.counters
     }
 
-    /// The session for `digest`, creating (and LRU-evicting) as
-    /// needed. `net` must be the net `digest` was computed from; it is
+    /// The session for `digest`, creating (and evicting) as needed.
+    /// `net` must be the net `digest` was computed from; it is
     /// consumed only on a miss.
     pub fn session_for(&self, digest: NetDigest, net: TimedPetriNet) -> Arc<Session> {
         let tick = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut map = self.map.lock().expect("session map lock");
         if let Some(slot) = map.get_mut(&digest) {
             slot.last_used = tick;
+            slot.retimed = false;
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(&slot.session);
         }
@@ -89,37 +108,21 @@ impl SessionCache {
         // it. A "session" span in a trace means a session was built.
         let _span = tpn_obs::trace::span("session");
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let session = Arc::new(Session::with_counters(
+        let session = Session::with_counters(
             net,
+            digest,
             self.options.clone(),
             Arc::clone(&self.counters),
-        ));
-        map.insert(
-            digest,
-            Slot {
-                session: Arc::clone(&session),
-                last_used: tick,
-            },
         );
-        while map.len() > self.capacity {
-            // In-flight users keep their Arc; only the cache's handle
-            // is dropped.
-            let victim = map
-                .iter()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(d, _)| *d)
-                .expect("non-empty map");
-            map.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        session
+        self.insert(&mut map, digest, Arc::new(session), tick, false)
     }
 
     /// The session for `digest`, creating it with `build` on a miss —
     /// the what-if tier's entry point: a re-timed session is inserted
     /// under the **perturbed** net's full digest, so a later plain
     /// request for that exact net (or another batch hitting the same
-    /// timing point) finds its artifacts already materialised.
+    /// timing point) finds its artifacts already materialised. Sessions
+    /// inserted here are the first to be evicted.
     ///
     /// Unlike [`SessionCache::session_for`], `build` may do real work
     /// (a re-timing substitutes through the shared lift), so it runs
@@ -146,27 +149,46 @@ impl SessionCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let session = Arc::new(build()?);
         let mut map = self.map.lock().expect("session map lock");
+        Ok(self.insert(&mut map, digest, session, tick, true))
+    }
+
+    /// Insert `session` under `digest` — unless a concurrent caller got
+    /// there first, whose session wins — then evict down to capacity:
+    /// re-timed sessions before client sessions, least recently used
+    /// first within each class. Returns the session now cached under
+    /// `digest`.
+    fn insert(
+        &self,
+        map: &mut HashMap<NetDigest, Slot>,
+        digest: NetDigest,
+        session: Arc<Session>,
+        tick: u64,
+        retimed: bool,
+    ) -> Arc<Session> {
         if let Some(slot) = map.get_mut(&digest) {
             slot.last_used = tick;
-            return Ok(Arc::clone(&slot.session));
+            return Arc::clone(&slot.session);
         }
         map.insert(
             digest,
             Slot {
                 session: Arc::clone(&session),
                 last_used: tick,
+                retimed,
             },
         );
         while map.len() > self.capacity {
+            // In-flight users keep their Arc; only the cache's handle
+            // is dropped.
             let victim = map
                 .iter()
-                .min_by_key(|(_, s)| s.last_used)
+                .min_by_key(|(_, s)| (!s.retimed, s.last_used))
                 .map(|(d, _)| *d)
                 .expect("non-empty map");
             map.remove(&victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(session)
+        session
     }
 
     /// A counter and occupancy snapshot.
@@ -229,6 +251,64 @@ mod tests {
         // plain session_for finds the builder-inserted session too
         let s3 = cache.session_for(d, a);
         assert!(Arc::ptr_eq(&s1, &s3));
+    }
+
+    /// A re-timed insert of `n`, as the what-if tier makes it.
+    fn retime(cache: &SessionCache, n: &TimedPetriNet) {
+        cache
+            .session_or_else(n.digest(), || {
+                Ok::<_, ()>(Session::new(n.clone(), SessionOptions::new()))
+            })
+            .unwrap();
+    }
+
+    /// Whether `n`'s session is still cached (probed without a miss
+    /// being able to insert it).
+    fn cached(cache: &SessionCache, n: &TimedPetriNet) -> bool {
+        cache.map.lock().unwrap().contains_key(&n.digest())
+    }
+
+    #[test]
+    fn retimed_sessions_are_evicted_before_client_sessions() {
+        let cache = SessionCache::new(3, SessionOptions::new());
+        let nets: Vec<TimedPetriNet> = (0..9).map(net).collect();
+        cache.session_for(nets[0].digest(), nets[0].clone());
+        cache.session_for(nets[1].digest(), nets[1].clone());
+        // Five re-timed inserts into the one free slot: each evicts
+        // the previous re-timed session, never a client session.
+        for n in &nets[2..7] {
+            retime(&cache, n);
+        }
+        assert_eq!((cache.stats().sessions, cache.stats().evictions), (3, 4));
+        assert!(cached(&cache, &nets[0]) && cached(&cache, &nets[1]));
+        assert!(cached(&cache, &nets[6]));
+        assert!(nets[2..6].iter().all(|n| !cached(&cache, n)));
+        // Client sessions keep plain LRU order among themselves: with
+        // 1 touched before 0, a new client evicts the re-timed 6
+        // first, and the next one evicts 1.
+        cache.session_for(nets[1].digest(), nets[1].clone());
+        cache.session_for(nets[0].digest(), nets[0].clone());
+        cache.session_for(nets[7].digest(), nets[7].clone());
+        assert!(!cached(&cache, &nets[6]));
+        cache.session_for(nets[8].digest(), nets[8].clone());
+        assert!(!cached(&cache, &nets[1]));
+        assert!([0, 7, 8].iter().all(|&i| cached(&cache, &nets[i])));
+        assert_eq!(cache.stats().evictions, 6);
+    }
+
+    #[test]
+    fn a_client_request_moves_a_retimed_session_to_the_client_class() {
+        let cache = SessionCache::new(2, SessionOptions::new());
+        let nets: Vec<TimedPetriNet> = (0..4).map(net).collect();
+        cache.session_for(nets[0].digest(), nets[0].clone());
+        retime(&cache, &nets[1]);
+        // A client sends the re-timed net: it is a client session now.
+        cache.session_for(nets[1].digest(), nets[1].clone());
+        // So the next re-timed insert is the only re-timed session and
+        // is evicted at once; both client sessions stay.
+        retime(&cache, &nets[2]);
+        assert!(cached(&cache, &nets[0]) && cached(&cache, &nets[1]));
+        assert!(!cached(&cache, &nets[2]));
     }
 
     #[test]

@@ -62,7 +62,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use tpn_core::{solve_rates, DecisionGraph, ExprTarget, Performance, Rates};
 use tpn_eval::Compiled;
-use tpn_net::{symbols, Frequency, TimedPetriNet, TimingAssignment};
+use tpn_net::{symbols, Frequency, NetDigest, TimedPetriNet, TimingAssignment};
 use tpn_rational::Rational;
 use tpn_reach::{build_trg, LiftedDomain, NumericDomain, TimedReachabilityGraph, TrgTemplate};
 use tpn_symbolic::{RatFn, Symbol};
@@ -202,6 +202,7 @@ impl<K: Clone + Eq + std::hash::Hash, T> ShapeMap<K, T> {
 /// every consumer of the same net.
 pub struct Session {
     net: Arc<TimedPetriNet>,
+    digest: NetDigest,
     options: SessionOptions,
     counters: Arc<StageCounters>,
     domain: NumericDomain,
@@ -252,20 +253,26 @@ fn demand<T>(
 impl Session {
     /// A fresh session over `net` with its own counters.
     pub fn new(net: TimedPetriNet, options: SessionOptions) -> Session {
-        Session::with_counters(net, options, Arc::new(StageCounters::new()))
+        let digest = net.digest();
+        Session::with_counters(net, digest, options, Arc::new(StageCounters::new()))
     }
 
     /// A fresh session whose stage counters are shared with the caller
     /// — the daemon passes one `StageCounters` to every session it
     /// creates so `/stats` aggregates artifact effectiveness
-    /// service-wide.
+    /// service-wide. `digest` must be `net.digest()`: the daemon has
+    /// already hashed the net to key its session tier, and hands the
+    /// hash over instead of paying for it twice.
     pub fn with_counters(
         net: TimedPetriNet,
+        digest: NetDigest,
         options: SessionOptions,
         counters: Arc<StageCounters>,
     ) -> Session {
+        debug_assert_eq!(digest, net.digest(), "session digest must be the net's");
         Session {
             net: Arc::new(net),
+            digest,
             options,
             counters,
             domain: NumericDomain::new(),
@@ -281,6 +288,12 @@ impl Session {
     /// The net this session derives from.
     pub fn net(&self) -> &TimedPetriNet {
         &self.net
+    }
+
+    /// The net's content digest ([`TimedPetriNet::digest`]), computed
+    /// once when the session was created.
+    pub fn digest(&self) -> NetDigest {
+        self.digest
     }
 
     /// The net as a shareable handle.
@@ -435,6 +448,22 @@ impl Session {
             .net
             .with_timing(timing)
             .map_err(|e| RetimeError::Invalid(e.to_string()))?;
+        let digest = perturbed.digest();
+        self.retimed_net(perturbed, digest, timing)
+    }
+
+    /// [`Session::retimed`] for a caller that has already built the
+    /// perturbed net — `perturbed` must be
+    /// `self.net().with_timing(timing)` and `digest` its digest. The
+    /// daemon needs both to look the perturbed net up in its session
+    /// tier before re-timing, and hands them over so neither is
+    /// computed twice.
+    pub fn retimed_net(
+        &self,
+        perturbed: TimedPetriNet,
+        digest: NetDigest,
+        timing: &TimingAssignment,
+    ) -> Result<Session, RetimeError> {
         // Validate every override before touching the lift: each must
         // name a re-timable attribute (strictly positive base — zero
         // times and frequencies are structural) and carry a strictly
@@ -507,8 +536,12 @@ impl Session {
             .map::<NumericDomain, _>(|p| p.eval(&point))
             .ok_or_else(internal)?;
         let rates = perf.rates().clone();
-        let session =
-            Session::with_counters(perturbed, self.options.clone(), Arc::clone(&self.counters));
+        let session = Session::with_counters(
+            perturbed,
+            digest,
+            self.options.clone(),
+            Arc::clone(&self.counters),
+        );
         let _ = session.trg.set(Ok(Arc::new(trg)));
         let _ = session.dg.set(Ok(Arc::new(dg)));
         let _ = session.rates.set(Ok(Arc::new(rates)));

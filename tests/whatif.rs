@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{fig1_text, http, json_counter, start_server};
+use common::{artifact_counter, fig1_text, http, json_counter, start_server};
 
 use timed_petri::net::TimingAssignment;
 use timed_petri::prelude::*;
@@ -185,6 +185,51 @@ fn whatif_shares_cache_lines_with_plain_analyses() {
     // ... and the session tier holds the re-timed session under the
     // perturbed digest, so no pipeline stage re-ran either.
     assert!(svc.sessions().stats().hits >= 1);
+}
+
+#[test]
+fn a_whatif_batch_larger_than_the_session_tier_keeps_the_base_artifacts() {
+    // Re-timed sessions are evicted before client sessions: a batch of
+    // twice the tier's capacity must leave the base net's session, and
+    // with it the lift and compiled program of its sweep, in place.
+    let svc = Service::new(ServiceConfig {
+        max_sessions: 4,
+        ..ServiceConfig::default()
+    });
+    let sweep = |from: u32| {
+        format!(
+            r#"{{"net":{},"targets":["throughput:t7"],"sweep":[{{"symbol":"E(t3)","from":"{from}","to":"2050","steps":8}}]}}"#,
+            timed_petri::service::json::escape(&fig1_text())
+        )
+    };
+    let builds = |stats: &str| {
+        (
+            artifact_counter(stats, "lifted", "artifact_builds"),
+            artifact_counter(stats, "compiled", "artifact_builds"),
+        )
+    };
+    let (status, body) = svc.respond_sweep(&sweep(300));
+    assert_eq!(status, 200, "{body}");
+    let primed = builds(&svc.stats_json());
+    // Eight distinct points, none of them fig1's own E(t3) = 1000.
+    let perturbations: Vec<String> = (0..8)
+        .map(|i| format!(r#"{{"E(t3)":"{}"}}"#, 450 + 100 * i))
+        .collect();
+    let (status, body) =
+        svc.respond_whatif(&whatif_body(&format!("[{}]", perturbations.join(","))));
+    assert_eq!(status, 200, "{body}");
+    let stats = svc.stats_json();
+    assert_eq!(json_counter(&stats, "whatif_retimes"), 8, "{stats}");
+    assert_eq!(json_counter(&stats, "whatif_rejects"), 0, "{stats}");
+    // A shifted grid: a new body-cache key over the same lift and program.
+    let (status, body) = svc.respond_sweep(&sweep(310));
+    assert_eq!(status, 200, "{body}");
+    let stats = svc.stats_json();
+    assert_eq!(
+        builds(&stats),
+        primed,
+        "the sweep after the batch rebuilt its lift or program: {stats}"
+    );
 }
 
 #[test]
