@@ -567,7 +567,7 @@ impl Service {
         session: &Session,
         spec: &crate::sweep::SweepSpec,
     ) -> Result<Arc<String>, ServiceError> {
-        use crate::sweep::sweep_json;
+        use crate::sweep::sweep_json_hashed;
         use std::sync::atomic::AtomicBool;
 
         let spec_hash = spec.hash();
@@ -579,7 +579,7 @@ impl Service {
         let computed = AtomicBool::new(false);
         let result = self.cache.get_or_compute(key, || {
             computed.store(true, Ordering::Relaxed);
-            let (body, points) = sweep_json(session, spec)?;
+            let (body, points) = sweep_json_hashed(session, spec, spec_hash)?;
             self.bump(Stat::SweepCompiles);
             self.add(Stat::SweepPoints, points);
             Ok(body)
@@ -620,7 +620,7 @@ impl Service {
         session: &Session,
         spec: &crate::optimize::OptimizeSpec,
     ) -> Result<Arc<String>, ServiceError> {
-        use crate::optimize::optimize_json;
+        use crate::optimize::optimize_json_hashed;
 
         let spec_hash = spec.hash();
         metrics::annotate_spec(spec_hash);
@@ -631,7 +631,7 @@ impl Service {
         let computed = AtomicBool::new(false);
         let result = self.cache.get_or_compute(key, || {
             computed.store(true, Ordering::Relaxed);
-            let (body, certified) = optimize_json(session, spec)?;
+            let (body, certified) = optimize_json_hashed(session, spec, spec_hash)?;
             self.bump(Stat::OptimizeSolves);
             if certified {
                 self.bump(Stat::OptimizeCertified);
@@ -1603,7 +1603,35 @@ fn endpoint_of_path(path: &str) -> Endpoint {
 
 /// Dispatch one request to its endpoint. Returns the status, the
 /// response content type, and the body.
+///
+/// This is the job boundary of both listeners: a handler that panics
+/// still yields a response — a 500 in its route family's error shape
+/// (`{"code":"internal",…}` on `/v1` and `/whatif`, `{"error":…}`
+/// elsewhere) — so the epoll reactor gets its completion, frees the
+/// request's in-flight slot and answers the connection, and the
+/// threaded listener writes a reply instead of closing silently. The
+/// panic is counted in `panics` on `/stats`
+/// (`tpn_requests_panicked_total`).
 pub(crate) fn route(service: &Service, req: &Request) -> (u16, &'static str, Arc<String>) {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dispatch(service, req))) {
+        Ok(reply) => reply,
+        Err(_) => {
+            // The handler's trace collection never reached its end;
+            // drop it so this worker's next request is observed again.
+            let _ = tpn_obs::trace::end();
+            service.bump(Stat::Panics);
+            let message = "internal error: the request handler panicked";
+            let body = match req.path.as_str() {
+                "/v1" | "/whatif" => error_object("internal", message),
+                _ => error_body(message),
+            };
+            (500, JSON, Arc::new(body))
+        }
+    }
+}
+
+/// [`route`] without the panic boundary.
+fn dispatch(service: &Service, req: &Request) -> (u16, &'static str, Arc<String>) {
     const ANALYSES: [&str; 5] = [
         "/analyze",
         "/graph",
@@ -1844,6 +1872,40 @@ mod tests {
             close: false,
         };
         assert!(analysis_kind(&bad).is_err());
+    }
+
+    #[test]
+    fn a_panicking_handler_is_answered_and_leaves_no_trace_open() {
+        // A 24-hop lossy chain: its traversal rates overflow i128 in
+        // the rate solve, whose rational arithmetic panics.
+        let mut net = String::from("net lossy\nplace at0 init 1\n");
+        for i in 1..=24 {
+            net.push_str(&format!("place at{i}\n"));
+        }
+        for i in 0..24 {
+            net.push_str(&format!(
+                "trans hop{i} in at{i} out at{} firing 3 weight 0.93\n\
+                 trans drop{i} in at{i} out at0 firing 3 weight 0.07\n",
+                i + 1
+            ));
+        }
+        net.push_str("trans arrive in at24 out at0 firing 3\n");
+        let svc = Service::new(ServiceConfig::default());
+        let req = Request {
+            method: "POST".into(),
+            path: "/analyze".into(),
+            query: Vec::new(),
+            body: net.into_bytes(),
+            close: true,
+        };
+        let (status, content_type, body) = route(&svc, &req);
+        assert_eq!((status, content_type), (500, JSON));
+        assert!(body.starts_with(r#"{"error":"internal error"#), "{body}");
+        assert!(
+            !tpn_obs::trace::active(),
+            "the handler's trace was left open"
+        );
+        assert_eq!(svc.stat_values()[Stat::Panics], 1);
     }
 
     #[test]

@@ -12,8 +12,23 @@
 //! `i128` numerator does not fit a JSON double), with a separate
 //! [`JsonWriter::fixed`] helper for 6-decimal approximations where a
 //! human-scale number is wanted.
+//!
+//! Floats ([`JsonWriter::float`]) go through a std-only
+//! shortest-round-trip writer that follows Ryū (Adams, PLDI 2018):
+//! 128-bit multiplies against power-of-five tables that a small
+//! big-integer routine computes at first use. Its byte contract is
+//! `Display`: every finite `f64` renders exactly as `format!("{x}")`
+//! would — the same shortest digits, the same plain positional layout
+//! — which the module's tests check on random bit patterns, subnormals,
+//! every power of ten and integers up to 2^53. Integers and the parts
+//! of a rational are written two digits at a time, also byte-identical
+//! to `Display`. Both skip the `core::fmt` machinery, which costs more
+//! than the digits themselves: a sweep body writes thousands of
+//! numbers.
 
 use std::fmt::Write as _;
+
+mod shortest;
 
 use tpn_rational::Rational;
 
@@ -40,6 +55,84 @@ fn escape_into(out: &mut String, s: &str) {
             }
             c => out.push(c),
         }
+    }
+    out.push('"');
+}
+
+/// `"00"`, `"01"`, … `"99"` back to back.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Write the decimal digits of `v` so that they end just before
+/// `buf[end]`: eight-digit blocks split off in `u64`, then pairs in
+/// `u32`.
+fn write_digits(buf: &mut [u8], mut end: usize, mut v: u64) {
+    let pair = |buf: &mut [u8], end: usize, p: u32| {
+        let p = p as usize * 2;
+        buf[end - 2..end].copy_from_slice(&DIGIT_PAIRS[p..p + 2]);
+    };
+    while v >= 100_000_000 {
+        let block = (v % 100_000_000) as u32;
+        v /= 100_000_000;
+        let (hi, lo) = (block / 10_000, block % 10_000);
+        pair(buf, end, lo % 100);
+        pair(buf, end - 2, lo / 100);
+        pair(buf, end - 4, hi % 100);
+        pair(buf, end - 6, hi / 100);
+        end -= 8;
+    }
+    let mut v = v as u32;
+    while v >= 100 {
+        pair(buf, end, v % 100);
+        v /= 100;
+        end -= 2;
+    }
+    if v >= 10 {
+        pair(buf, end, v);
+    } else {
+        buf[end - 1] = b'0' + v as u8;
+    }
+}
+
+fn ascii(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("ASCII digits")
+}
+
+/// Append the decimal text of `n` — `format!("{n}")` byte for byte,
+/// with a fast path for magnitudes that fit a `u64`.
+fn write_integer(out: &mut String, n: i128) {
+    if n < 0 {
+        out.push('-');
+    }
+    match u64::try_from(n.unsigned_abs()) {
+        Ok(v) => {
+            let mut buf = [0u8; 20];
+            let len = v.checked_ilog10().map_or(1, |l| l as usize + 1);
+            write_digits(&mut buf, len, v);
+            out.push_str(ascii(&buf[..len]));
+        }
+        Err(_) => {
+            let _ = write!(out, "{}", n.unsigned_abs());
+        }
+    }
+}
+
+/// Append `r` as the JSON string [`JsonWriter::rational`] writes — for
+/// callers that render a value once and embed it many times.
+pub(crate) fn write_rational(out: &mut String, r: &Rational) {
+    out.push('"');
+    write_integer(out, r.numer());
+    if r.denom() != 1 {
+        out.push('/');
+        write_integer(out, r.denom());
     }
     out.push('"');
 }
@@ -161,13 +254,13 @@ impl JsonWriter {
     /// An unsigned integer value.
     pub fn uint(&mut self, n: u64) {
         self.before_value();
-        let _ = write!(self.out, "{n}");
+        write_integer(&mut self.out, i128::from(n));
     }
 
     /// A signed (possibly 128-bit) integer value.
     pub fn int(&mut self, n: i128) {
         self.before_value();
-        let _ = write!(self.out, "{n}");
+        write_integer(&mut self.out, n);
     }
 
     /// A boolean value.
@@ -183,8 +276,11 @@ impl JsonWriter {
         let _ = write!(self.out, "{x:.digits$}");
     }
 
-    /// A full-precision float: Rust's shortest round-trip rendering,
-    /// which is deterministic across platforms (the sweep endpoint's
+    /// A full-precision float: the shortest decimal that parses back
+    /// to `x`, written by the crate's own Ryū writer and laid out byte
+    /// for byte as `format!("{x}")` lays it out — no exponent, `-0`
+    /// for negative zero, integers without `.0`. The rendering is
+    /// deterministic across platforms (the sweep endpoint's
     /// byte-for-byte cacheability relies on this). Non-finite values
     /// have no JSON number form and are written as `null`.
     pub fn float(&mut self, x: f64) {
@@ -193,7 +289,7 @@ impl JsonWriter {
             return;
         }
         self.before_value();
-        let _ = write!(self.out, "{x}");
+        shortest::write(&mut self.out, x);
     }
 
     /// A `null` value.
@@ -212,11 +308,12 @@ impl JsonWriter {
     }
 
     /// An exact rational as its `"n/d"` (or `"n"` when integral)
-    /// string rendering. Digits, `-` and `/` need no escaping, so it is
-    /// formatted straight into the buffer.
+    /// string rendering — `Rational`'s `Display`, byte for byte. Digits,
+    /// `-` and `/` need no escaping, so it is written straight into the
+    /// buffer.
     pub fn rational(&mut self, r: &Rational) {
         self.before_value();
-        let _ = write!(self.out, "\"{r}\"");
+        write_rational(&mut self.out, r);
     }
 }
 
@@ -292,12 +389,53 @@ mod tests {
     }
 
     #[test]
+    fn integers_and_rationals_render_as_display_does() {
+        let mut values: Vec<i128> = vec![0, 1, -1, 9, 10, 99, 100, -100, i128::MIN, i128::MAX];
+        for k in 0..=38 {
+            let p = 10i128.pow(k);
+            values.extend([p - 1, p, p + 1, -p, 1 - p]);
+        }
+        for b in [63, 64, 65] {
+            let p = 1i128 << b;
+            values.extend([p - 1, p, p + 1, -p, 1 - p]);
+        }
+        for &n in &values {
+            let mut w = JsonWriter::new();
+            w.int(n);
+            assert_eq!(w.finish(), format!("{n}"));
+            if let Ok(u) = u64::try_from(n) {
+                let mut w = JsonWriter::new();
+                w.uint(u);
+                assert_eq!(w.finish(), format!("{u}"));
+            }
+            for &d in &values {
+                if let Ok(r) = Rational::checked_new(n, d) {
+                    let mut w = JsonWriter::new();
+                    w.rational(&r);
+                    assert_eq!(w.finish(), format!("\"{r}\""));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn integral_rational_renders_without_denominator() {
         let mut w = JsonWriter::new();
         w.begin_array();
         w.rational(&Rational::from_int(5));
         w.end_array();
         assert_eq!(w.finish(), r#"["5"]"#);
+    }
+
+    #[test]
+    fn non_finite_floats_are_null() {
+        let mut w = JsonWriter::new();
+        w.begin_array();
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.25] {
+            w.float(x);
+        }
+        w.end_array();
+        assert_eq!(w.finish(), "[null,null,null,-0,0.25]");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`json`] | compact hand-rolled JSON writer (std-only, no serde) |
+//! | [`json`] | compact hand-rolled JSON writer (std-only, no serde; a Ryū float writer byte-identical to `Display`) |
 //! | [`jsonval`] | minimal JSON parser (the `/sweep` request body) |
 //! | [`analysis`] | request kinds and their JSON renderings |
 //! | [`spec`] | the [`Spec`] trait: canonical spec rendering + 128-bit hash |

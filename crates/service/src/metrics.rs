@@ -667,6 +667,8 @@ stat_table! {
         "What-if perturbations rejected (invalid or out of region).";
     V1Envelopes: Top, Counter, "v1_envelopes", "tpn_v1_envelopes_total", AsKey,
         "POST /v1 envelopes served.";
+    Panics: Top, Counter, "panics", "tpn_requests_panicked_total", Absent,
+        "Requests whose handler panicked, answered with a 500.";
     SessionEntries: Sessions, Gauge, "entries", "tpn_sessions", Named("sessions"),
         "Live sessions in the artifact tier.";
     SessionHits: Sessions, Counter, "hits", "tpn_session_hits_total", Named("session_hits"),

@@ -47,7 +47,7 @@ use crate::analysis::ServiceError;
 use crate::json::JsonWriter;
 use crate::jsonval::Json;
 use crate::sweep::{
-    bad, rational_value, resolve_symbol, resolve_target, spec_hash, u64_value, TargetSpec, MAX_AXES,
+    bad, rational_value, resolve_symbol, resolve_target, u64_value, TargetSpec, MAX_AXES,
 };
 
 /// Default multivariate seed-grid budget.
@@ -193,7 +193,7 @@ impl OptimizeSpec {
     /// The canonical one-line JSON rendering: fixed member order,
     /// rationals in reduced `n/d` form, defaults materialised. Two
     /// specs with the same canonical form are the same request — this
-    /// string is what [`spec_hash`] fingerprints.
+    /// string is what [`spec_hash`](crate::spec::spec_hash) fingerprints.
     pub fn canonical(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
@@ -258,6 +258,17 @@ pub fn optimize_json(
     session: &Session,
     spec: &OptimizeSpec,
 ) -> Result<(String, bool), ServiceError> {
+    optimize_json_hashed(session, spec, crate::spec::Spec::hash(spec))
+}
+
+/// [`optimize_json`] for a caller that already holds the spec's
+/// [`spec_hash`](crate::spec::spec_hash) (the server keys its cache by
+/// it), so the canonical spec is rendered and hashed once per request.
+pub(crate) fn optimize_json_hashed(
+    session: &Session,
+    spec: &OptimizeSpec,
+    spec_hash: u128,
+) -> Result<(String, bool), ServiceError> {
     let _span = tpn_obs::trace::span("render");
     let net = session.net();
     let threads = session.options().threads_or_default();
@@ -321,7 +332,7 @@ pub fn optimize_json(
     w.key("digest");
     w.string(&session.digest().to_hex());
     w.key("spec_hash");
-    w.string(&format!("{:032x}", spec_hash(&spec.canonical())));
+    w.string(&format!("{spec_hash:032x}"));
     w.key("target");
     w.string(&spec.target.canonical());
     w.key("goal");
@@ -418,6 +429,7 @@ pub fn optimize_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::spec_hash;
     use tpn_session::SessionOptions;
 
     /// A one-shot session with an explicit thread count and point cap.

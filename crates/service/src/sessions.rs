@@ -30,7 +30,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use tpn_net::{NetDigest, TimedPetriNet};
 use tpn_session::{Session, SessionOptions, StageCounters};
@@ -114,7 +114,7 @@ impl SessionCache {
             self.options.clone(),
             Arc::clone(&self.counters),
         );
-        self.insert(&mut map, digest, Arc::new(session), tick, false)
+        self.insert(map, digest, Arc::new(session), tick, false)
     }
 
     /// The session for `digest`, creating it with `build` on a miss —
@@ -148,18 +148,20 @@ impl SessionCache {
         let _span = tpn_obs::trace::span("session");
         self.misses.fetch_add(1, Ordering::Relaxed);
         let session = Arc::new(build()?);
-        let mut map = self.map.lock().expect("session map lock");
-        Ok(self.insert(&mut map, digest, session, tick, true))
+        let map = self.map.lock().expect("session map lock");
+        Ok(self.insert(map, digest, session, tick, true))
     }
 
     /// Insert `session` under `digest` — unless a concurrent caller got
     /// there first, whose session wins — then evict down to capacity:
     /// re-timed sessions before client sessions, least recently used
     /// first within each class. Returns the session now cached under
-    /// `digest`.
+    /// `digest`. Takes the map guard so that the evicted sessions are
+    /// dropped after it is released: freeing a session's artifacts is
+    /// real work, and no other lookup should wait on it.
     fn insert(
         &self,
-        map: &mut HashMap<NetDigest, Slot>,
+        mut map: MutexGuard<'_, HashMap<NetDigest, Slot>>,
         digest: NetDigest,
         session: Arc<Session>,
         tick: u64,
@@ -177,6 +179,7 @@ impl SessionCache {
                 retimed,
             },
         );
+        let mut victims = Vec::new();
         while map.len() > self.capacity {
             // In-flight users keep their Arc; only the cache's handle
             // is dropped.
@@ -185,9 +188,11 @@ impl SessionCache {
                 .min_by_key(|(_, s)| (!s.retimed, s.last_used))
                 .map(|(d, _)| *d)
                 .expect("non-empty map");
-            map.remove(&victim);
+            victims.extend(map.remove(&victim));
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
+        drop(map);
+        drop(victims);
         session
     }
 

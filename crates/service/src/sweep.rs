@@ -53,7 +53,7 @@ use tpn_session::Session;
 use tpn_symbolic::{Assignment, Constraint, Relation, Symbol};
 
 use crate::analysis::ServiceError;
-use crate::json::JsonWriter;
+use crate::json::{write_rational, JsonWriter};
 use crate::jsonval::Json;
 
 /// Most axes a grid may have (the cartesian product explodes long
@@ -426,10 +426,11 @@ impl RegionEval {
         RegionEval { rows }
     }
 
-    /// Exact membership of one row's coordinates, with overflow-checked
-    /// arithmetic (a hostile coordinate must not panic a worker):
-    /// `None` (rendered as JSON `null`) when a check itself overflows.
-    pub(crate) fn in_region(&self, coords: &[Rational]) -> Option<bool> {
+    /// Exact membership of one row's coordinates (borrowed from the
+    /// axis tables, in axis order), with overflow-checked arithmetic (a
+    /// hostile coordinate must not panic a worker): `None` (rendered as
+    /// JSON `null`) when a check itself overflows.
+    pub(crate) fn in_region(&self, coords: &[&Rational]) -> Option<bool> {
         let mut all = true;
         for (constant, coeffs, rel) in &self.rows {
             let mut acc = *constant;
@@ -498,6 +499,58 @@ pub(crate) fn resolve_target(
     }
 }
 
+/// One grid axis rendered once per request: each value's JSON text
+/// (the quoted exact rational [`JsonWriter::rational`] writes) and its
+/// `f64`, indexed like the axis values. A grid is the cartesian
+/// product of its axes, so every row's coordinates are table lookups.
+struct AxisTable<'g> {
+    exact: &'g [Rational],
+    /// Every value's JSON text back to back; value `k` ends at
+    /// `ends[k]` and starts where value `k - 1` ends.
+    json: String,
+    ends: Vec<usize>,
+    float: Vec<f64>,
+}
+
+impl<'g> AxisTable<'g> {
+    fn new(axis: &'g Axis) -> AxisTable<'g> {
+        let exact = axis.values();
+        let mut json = String::new();
+        let ends = exact
+            .iter()
+            .map(|v| {
+                write_rational(&mut json, v);
+                json.len()
+            })
+            .collect();
+        let float = exact.iter().map(Rational::to_f64).collect();
+        AxisTable {
+            exact,
+            json,
+            ends,
+            float,
+        }
+    }
+
+    /// The JSON text of value `k`.
+    fn json(&self, k: usize) -> &str {
+        let start = if k == 0 { 0 } else { self.ends[k - 1] };
+        &self.json[start..self.ends[k]]
+    }
+}
+
+/// Step the per-axis indices `at` to the next grid point, last axis
+/// fastest — the order [`Grid::point`] decodes and rows come back in.
+fn advance(at: &mut [usize], tables: &[AxisTable<'_>]) {
+    for (k, t) in at.iter_mut().zip(tables).rev() {
+        *k += 1;
+        if *k < t.exact.len() {
+            return;
+        }
+        *k = 0;
+    }
+}
+
 /// Execute a sweep through `session` and render the response document.
 /// Returns the JSON body and the number of grid points evaluated. Each
 /// row is `[[coords…], [values…], in_region]`; the trailing flag is
@@ -510,6 +563,17 @@ pub(crate) fn resolve_target(
 /// server's — and the lift + compiled program are session artifacts,
 /// shared with every other request over the same net.
 pub fn sweep_json(session: &Session, spec: &SweepSpec) -> Result<(String, u64), ServiceError> {
+    sweep_json_hashed(session, spec, crate::spec::Spec::hash(spec))
+}
+
+/// [`sweep_json`] for a caller that already holds the spec's
+/// [`spec_hash`] (the server keys its cache by it), so the canonical
+/// spec is rendered and hashed once per request.
+pub(crate) fn sweep_json_hashed(
+    session: &Session,
+    spec: &SweepSpec,
+    spec_hash: u128,
+) -> Result<(String, u64), ServiceError> {
     let _span = tpn_obs::trace::span("render");
     let net = session.net();
     let threads = session.options().threads_or_default();
@@ -586,7 +650,7 @@ pub fn sweep_json(session: &Session, spec: &SweepSpec) -> Result<(String, u64), 
     w.key("digest");
     w.string(&session.digest().to_hex());
     w.key("spec_hash");
-    w.string(&format!("{:032x}", spec_hash(&spec.canonical())));
+    w.string(&format!("{spec_hash:032x}"));
     w.key("backend");
     w.string(spec.backend.name());
     w.key("elasticity");
@@ -622,19 +686,37 @@ pub fn sweep_json(session: &Session, spec: &SweepSpec) -> Result<(String, u64), 
     w.uint(grid.num_points());
     w.key("rows");
     w.begin_array();
-    let mut coords: Vec<Rational> = Vec::new();
+
+    // Everything a row prints about its coordinates is rendered here,
+    // once per axis value; a row only indexes the tables.
+    let tables: Vec<AxisTable<'_>> = grid.axes().iter().map(AxisTable::new).collect();
+    let mut at = vec![0usize; n_axes];
+    let mut coords: Vec<&Rational> = Vec::with_capacity(n_axes);
+    // `[[coords…], [` before a row's values, `], in_region]` after.
+    let open_row = |w: &mut JsonWriter, at: &[usize]| {
+        w.begin_array();
+        w.begin_array();
+        for (t, &k) in tables.iter().zip(at) {
+            w.raw(t.json(k));
+        }
+        w.end_array();
+        w.begin_array();
+    };
+    let mut close_row = |w: &mut JsonWriter, at: &[usize]| {
+        w.end_array();
+        coords.clear();
+        coords.extend(tables.iter().zip(at).map(|(t, &k)| &t.exact[k]));
+        match region_eval.in_region(&coords) {
+            Some(flag) => w.bool(flag),
+            None => w.null(),
+        }
+        w.end_array();
+    };
     match spec.backend {
         SweepBackend::F64 => {
             let rows = sweep_f64(compiled, &grid, &fixed, &opts).map_err(|e| bad(e.to_string()))?;
-            for (i, row) in rows.iter().enumerate() {
-                grid.point(i as u64, &mut coords);
-                w.begin_array();
-                w.begin_array();
-                for c in &coords {
-                    w.rational(c);
-                }
-                w.end_array();
-                w.begin_array();
+            for row in &rows {
+                open_row(&mut w, &at);
                 for v in &row[..n_targets] {
                     match v {
                         Some(x) => w.float(*x),
@@ -642,39 +724,26 @@ pub fn sweep_json(session: &Session, spec: &SweepSpec) -> Result<(String, u64), 
                     }
                 }
                 if spec.elasticity {
-                    for (ti, _) in spec.targets.iter().enumerate() {
-                        for ai in 0..n_axes {
+                    for ti in 0..n_targets {
+                        for (ai, (t, &k)) in tables.iter().zip(&at).enumerate() {
                             let value = row[ti];
                             let deriv = row[n_targets + ti * n_axes + ai];
                             match (value, deriv) {
-                                (Some(v), Some(d)) if v != 0.0 => {
-                                    w.float(coords[ai].to_f64() * d / v)
-                                }
+                                (Some(v), Some(d)) if v != 0.0 => w.float(t.float[k] * d / v),
                                 _ => w.null(),
                             }
                         }
                     }
                 }
-                w.end_array();
-                match region_eval.in_region(&coords) {
-                    Some(flag) => w.bool(flag),
-                    None => w.null(),
-                }
-                w.end_array();
+                close_row(&mut w, &at);
+                advance(&mut at, &tables);
             }
         }
         SweepBackend::Exact => {
             let rows =
                 sweep_exact(compiled, &grid, &fixed, &opts).map_err(|e| bad(e.to_string()))?;
-            for (i, row) in rows.iter().enumerate() {
-                grid.point(i as u64, &mut coords);
-                w.begin_array();
-                w.begin_array();
-                for c in &coords {
-                    w.rational(c);
-                }
-                w.end_array();
-                w.begin_array();
+            for row in &rows {
+                open_row(&mut w, &at);
                 for v in &row[..n_targets] {
                     match v {
                         Some(x) => w.rational(x),
@@ -682,10 +751,10 @@ pub fn sweep_json(session: &Session, spec: &SweepSpec) -> Result<(String, u64), 
                     }
                 }
                 if spec.elasticity {
-                    for (ti, _) in spec.targets.iter().enumerate() {
-                        for ai in 0..n_axes {
+                    for ti in 0..n_targets {
+                        for (ai, (t, &k)) in tables.iter().zip(&at).enumerate() {
                             let elast = match (&row[ti], &row[n_targets + ti * n_axes + ai]) {
-                                (Some(v), Some(d)) if !v.is_zero() => coords[ai]
+                                (Some(v), Some(d)) if !v.is_zero() => t.exact[k]
                                     .checked_mul(d)
                                     .and_then(|xd| xd.checked_div(v))
                                     .ok(),
@@ -698,12 +767,8 @@ pub fn sweep_json(session: &Session, spec: &SweepSpec) -> Result<(String, u64), 
                         }
                     }
                 }
-                w.end_array();
-                match region_eval.in_region(&coords) {
-                    Some(flag) => w.bool(flag),
-                    None => w.null(),
-                }
-                w.end_array();
+                close_row(&mut w, &at);
+                advance(&mut at, &tables);
             }
         }
     }
@@ -872,6 +937,168 @@ mod tests {
         let e = sweep_json(&sess(net.clone(), 1, 1000), &spec).unwrap_err();
         assert_eq!(e.status(), 400);
         assert!(e.to_string().contains("overflows"), "{e}");
+    }
+
+    /// The row renderer `sweep_json` had before its per-axis tables and
+    /// its own float writer, kept as the oracle: every row decodes its
+    /// point with [`Grid::point`], prints coordinates and exact values
+    /// through `Rational`'s `Display` and floats through `f64`'s.
+    /// Returns the document's `"rows":[…]}` tail.
+    fn oracle_rows(session: &Session, spec: &SweepSpec) -> String {
+        use std::fmt::Write as _;
+        let net = session.net();
+        let swept: Vec<Symbol> = spec
+            .axes
+            .iter()
+            .map(|a| resolve_symbol(net, &a.symbol).unwrap())
+            .collect();
+        let targets: Vec<_> = spec
+            .targets
+            .iter()
+            .map(|t| resolve_target(net, t).unwrap())
+            .collect();
+        let axes = spec
+            .axes
+            .iter()
+            .zip(&swept)
+            .map(|(a, &sym)| match &a.values {
+                AxisValues::Linear { from, to, steps } => {
+                    Axis::try_linear(sym, *from, *to, *steps as usize).unwrap()
+                }
+                AxisValues::List(values) => Axis::list(sym, values.clone()),
+            })
+            .collect();
+        let grid = Grid::new(axes).unwrap();
+        let artifact = session.compiled(&swept, &targets, spec.elasticity).unwrap();
+        let (_, constraints): (Vec<String>, Vec<Constraint>) =
+            artifact.lifted.domain.region_entries().into_iter().unzip();
+        let region = RegionEval::new(&constraints, &swept);
+        let opts = SweepOptions {
+            threads: 1,
+            max_points: u64::MAX,
+        };
+        let fixed = Assignment::new();
+        let (n_targets, n_axes) = (targets.len(), swept.len());
+        let rows: Vec<Vec<String>> = match spec.backend {
+            SweepBackend::F64 => sweep_f64(&artifact.program, &grid, &fixed, &opts)
+                .unwrap()
+                .into_iter()
+                .enumerate()
+                .map(|(i, row)| {
+                    let mut coords = Vec::new();
+                    grid.point(i as u64, &mut coords);
+                    let mut cells: Vec<String> = row[..n_targets]
+                        .iter()
+                        .map(|v| v.map_or("null".to_string(), |x| format!("{x}")))
+                        .collect();
+                    if spec.elasticity {
+                        for ti in 0..n_targets {
+                            for (ai, c) in coords.iter().enumerate() {
+                                cells.push(match (row[ti], row[n_targets + ti * n_axes + ai]) {
+                                    (Some(v), Some(d)) if v != 0.0 => {
+                                        format!("{}", c.to_f64() * d / v)
+                                    }
+                                    _ => "null".to_string(),
+                                });
+                            }
+                        }
+                    }
+                    let mut cells = vec![cells.join(",")];
+                    cells.insert(0, coords_text(&coords));
+                    cells.push(region_text(&region, &coords));
+                    cells
+                })
+                .collect(),
+            SweepBackend::Exact => sweep_exact(&artifact.program, &grid, &fixed, &opts)
+                .unwrap()
+                .into_iter()
+                .enumerate()
+                .map(|(i, row)| {
+                    let mut coords = Vec::new();
+                    grid.point(i as u64, &mut coords);
+                    let quote = |r: &Rational| format!("\"{r}\"");
+                    let mut cells: Vec<String> = row[..n_targets]
+                        .iter()
+                        .map(|v| v.as_ref().map_or("null".to_string(), quote))
+                        .collect();
+                    if spec.elasticity {
+                        for ti in 0..n_targets {
+                            for (ai, c) in coords.iter().enumerate() {
+                                let e = match (&row[ti], &row[n_targets + ti * n_axes + ai]) {
+                                    (Some(v), Some(d)) if !v.is_zero() => {
+                                        c.checked_mul(d).and_then(|xd| xd.checked_div(v)).ok()
+                                    }
+                                    _ => None,
+                                };
+                                cells.push(e.as_ref().map_or("null".to_string(), quote));
+                            }
+                        }
+                    }
+                    let mut cells = vec![cells.join(",")];
+                    cells.insert(0, coords_text(&coords));
+                    cells.push(region_text(&region, &coords));
+                    cells
+                })
+                .collect(),
+        };
+        let mut out = String::from("\"rows\":[");
+        for (i, row) in rows.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "[[{}],[{}],{}]", row[0], row[1], row[2]);
+        }
+        out.push_str("]}");
+        out
+    }
+
+    fn coords_text(coords: &[Rational]) -> String {
+        coords
+            .iter()
+            .map(|c| format!("\"{c}\""))
+            .collect::<Vec<_>>()
+            .join(",")
+    }
+
+    fn region_text(region: &RegionEval, coords: &[Rational]) -> String {
+        let borrowed: Vec<&Rational> = coords.iter().collect();
+        match region.in_region(&borrowed) {
+            Some(flag) => flag.to_string(),
+            None => "null".to_string(),
+        }
+    }
+
+    #[test]
+    fn rows_match_the_per_row_oracle_byte_for_byte() {
+        let net = tpn_net::parse_tpn(include_str!("../../../tests/fixtures/fig1.tpn")).unwrap();
+        // Three axes, linear and list. The last E(t3) value is so large
+        // that the exact region check overflows: those rows end `null`.
+        let huge = i128::MAX / 5;
+        let doc = Json::parse(&format!(
+            r#"{{"targets":["throughput:t7","cycle_time"],"sweep":[
+                {{"symbol":"E(t3)","values":["1067/10","300","2050","{huge}"]}},
+                {{"symbol":"F(t4)","from":"50","to":"200","steps":4}},
+                {{"symbol":"f(t5)","values":["1/100","1/20"]}}],
+              "elasticity":true}}"#
+        ))
+        .unwrap();
+        let spec = SweepSpec::from_json(&doc).unwrap();
+        for backend in [SweepBackend::F64, SweepBackend::Exact] {
+            let spec = SweepSpec {
+                backend,
+                ..spec.clone()
+            };
+            let session = sess(net.clone(), 2, 1000);
+            let (body, points) = sweep_json(&session, &spec).unwrap();
+            assert_eq!(points, 32);
+            let tail = &body[body.find(r#""rows":["#).expect("rows member")..];
+            assert_eq!(tail, oracle_rows(&session, &spec), "{backend:?}");
+            assert!(tail.contains("],null]"), "{backend:?}: {tail}");
+            assert!(
+                tail.contains("],true]") && tail.contains("],false]"),
+                "{tail}"
+            );
+        }
     }
 
     #[test]

@@ -510,6 +510,94 @@ fn backlog_is_served_after_descriptor_exhaustion() {
     }
 }
 
+/// The `.tpn` text of a net whose `/analyze` panics: the 24-hop lossy
+/// chain's traversal rates overflow `i128` in the rate solve.
+fn overflowing_chain() -> String {
+    use timed_petri::protocols::families::lossy_chain;
+    use timed_petri::rational::Rational;
+    lossy_chain(24, Rational::new(7, 100), Rational::from_int(3))
+        .0
+        .to_tpn()
+}
+
+/// The threaded listener answers a panicking handler with a 500 in the
+/// route family's error shape, not an empty reply.
+#[test]
+fn threaded_listener_answers_panics_in_the_route_family_shape() {
+    let (handle, addr, service) = start_server_with(ServiceConfig::default());
+    let net = overflowing_chain();
+    let (status, body) = common::http(addr, "POST", "/analyze", &net);
+    assert_eq!(status, 500, "{body}");
+    assert!(body.starts_with(r#"{"error":"internal error"#), "{body}");
+    let envelope = format!(
+        r#"{{"net":{},"requests":[{{"kind":"analyze"}}]}}"#,
+        timed_petri::service::json::escape(&net)
+    );
+    let (status, body) = common::http(addr, "POST", "/v1", &envelope);
+    assert_eq!(status, 500, "{body}");
+    assert!(
+        body.starts_with(r#"{"code":"internal","message":"#),
+        "{body}"
+    );
+    assert!(service.stats_json().contains(r#""panics":2,"#));
+    // The workers that caught the panics still serve.
+    let (status, _) = common::http(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    handle.shutdown();
+}
+
+/// A panicking handler must still answer its connection and free its
+/// in-flight slot. The 24-hop lossy chain overflows `i128` in the rate
+/// solve, whose rational arithmetic panics; with an in-flight budget
+/// of 2, two stranded jobs would leave the daemon answering nothing.
+#[test]
+fn panicking_requests_are_answered_and_free_their_slots() {
+    if !IoMode::epoll_supported() {
+        return;
+    }
+    let (_daemon, addr) = Daemon::spawn("exec \"$0\" serve 127.0.0.1:0 --inflight 2");
+    let request = close_request("POST", "/analyze", &overflowing_chain());
+    let clients: Vec<TcpStream> = (0..3)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.write_all(&request).expect("send");
+            stream
+        })
+        .collect();
+    // A request that coalesced onto a panicking leader gets that
+    // leader's error instead; every request gets some status line.
+    let mut panicked = 0;
+    for (i, mut stream) in clients.into_iter().enumerate() {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut raw = Vec::new();
+        let _ = stream.read_to_end(&mut raw);
+        let text = String::from_utf8_lossy(&raw);
+        assert!(
+            text.starts_with("HTTP/1.1 "),
+            "request {i} got no status line: {text:?}"
+        );
+        if text.starts_with("HTTP/1.1 500 ") {
+            assert!(text.contains(r#"{"error":"internal error"#), "{text}");
+            panicked += 1;
+        }
+    }
+    assert!(panicked >= 1, "no request reached the overflowing solve");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    send_healthz(&mut stream, "close");
+    assert!(
+        answered(&mut stream, Duration::from_secs(1)),
+        "/healthz unanswered after the panics"
+    );
+    let raw = raw_close_exchange(addr, &close_request("GET", "/stats", ""));
+    let stats = String::from_utf8_lossy(&raw);
+    assert!(
+        stats.contains(&format!(r#""panics":{panicked},"#)),
+        "{stats}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Observability
 // ---------------------------------------------------------------------
